@@ -1,8 +1,8 @@
 """Parse positive braid words and read off the closure's basic invariants."""
 
 from braidhfk import (
-    braid_genus,
     closure_components,
+    closure_genus,
     decompose,
     fibered_positive,
     from_braid,
@@ -28,6 +28,6 @@ for text, name in EXAMPLES:
     print(f"  split factors s = {lc.split_count}, prime factors p = {lc.prime_count}")
     for f in lc.prime_words:
         print(f"    prime factor: {f}")
-    print(f"  genus g = {braid_genus(w)}, fibered = {fibered_positive(graph)}")
+    print(f"  genus g = {closure_genus(w)}, fibered = {fibered_positive(graph)}")
     print(f"  Seifert graph: {graph}")
     print()

@@ -7,8 +7,8 @@ is the package's core cross-check.
 """
 
 from braidhfk import (
-    braid_genus,
     closure_components,
+    closure_genus,
     connected_sum,
     decompose,
     disjoint_union,
@@ -33,7 +33,7 @@ FAMILIES = [
 
 for name, w in FAMILIES:
     lc = decompose(w)
-    g = braid_genus(w)
+    g = closure_genus(w)
     formula = predicted_next_to_top(
         lc.prime_count, lc.split_count, closure_components(w), g
     )

@@ -1,10 +1,12 @@
 """Two independent Alexander polynomial engines for positive braid closures.
 
 ``conway`` resolves doubled crossings with the oriented skein relation
-``nabla(L+) = nabla(L-) + z * nabla(L0)``, multiplying over connected-sum
-factors and vanishing on split links.  ``alexander_burau`` is the
-classical matrix route: the determinant of ``reduced_burau(word) - I``
-divided by ``1 + t + ... + t^(n-1)``.
+``nabla(L+) = nabla(L-) + z * nabla(L0)``.  It reads splitness and the
+unknot off the word, and it splits off a summand only where an O(len)
+destabilisation or cut fires on the word as written; it never runs the
+orbit search of ``decompose``, so it stays an independent check of it.
+``alexander_burau`` is the classical matrix route: the determinant of
+``reduced_burau(word) - I`` divided by ``1 + t + ... + t^(n-1)``.
 
 Both are normalised to the same graded Euler characteristic: the result
 of ``hfk_euler`` equals ``sum_(m,a) (-1)^m rank_m(L, a) t^a`` over the
@@ -21,10 +23,10 @@ from __future__ import annotations
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
-    memo_key,
     closure_components,
-    decompose,
+    closure_genus,
     find_adjacent_square,
+    immediate_reduction,
     resolve_square,
 )
 from .polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
@@ -48,36 +50,31 @@ def clear_caches() -> None:
 def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     """Conway polynomial of the closure via the skein recursion.
 
-    Split closures give 0, unknots give 1, connected sums multiply, and
-    everything else resolves at a doubled crossing found by
-    ``find_adjacent_square``; every resolution strictly reduces the
-    crossing count, so the recursion terminates.
+    Split closures give 0 and unknots give 1.  When a destabilisation or
+    a cut fires on the word as written, the result is the product over
+    the pieces, since Conway is multiplicative under connected sum.
+    Everything else resolves at a doubled crossing found by
+    ``find_adjacent_square``; every step strictly reduces the crossing
+    count, so the recursion terminates.
     """
-    key = memo_key(w)
+    key = (w.strands, w.letters)
     hit = _conway_cache.get(key)
     if hit is not None:
         return hit
-    lc = decompose(w, budget)
-    if lc.split_count > 1:
+    if not w.is_connected:
         result = ConwayPoly.zero()
-    else:
+    elif closure_genus(w) == 0:
         result = ConwayPoly.one()
-        for factor in lc.pieces[0].prime_words:
-            result = result * _conway_prime(factor, budget)
-    _conway_cache[key] = result
-    return result
-
-
-def _conway_prime(u: BraidWord, budget: int) -> ConwayPoly:
-    key = memo_key(u)
-    hit = _conway_cache.get(key)
-    if hit is not None:
-        return hit
-    sq = find_adjacent_square(u, budget)
-    if sq is None:
-        raise EngineFailure(f"no doubled crossing found within budget for {u}")
-    triple = resolve_square(sq)
-    result = conway(triple.l_minus, budget) + conway(triple.l_zero, budget).times_z()
+    elif (r := immediate_reduction(w.strands, w.letters)) is not None:
+        result = ConwayPoly.one()
+        for strands, letters in r[1:]:
+            result = result * conway(BraidWord(strands, letters), budget)
+    else:
+        sq = find_adjacent_square(w, budget)
+        if sq is None:
+            raise EngineFailure(f"no doubled crossing found within budget for {w}")
+        triple = resolve_square(sq)
+        result = conway(triple.l_minus, budget) + conway(triple.l_zero, budget).times_z()
     _conway_cache[key] = result
     return result
 
@@ -103,13 +100,9 @@ def second_coefficient(w: BraidWord, budget: int = DEFAULT_BUDGET) -> int:
     For a non-split positive braid closure this equals
     ``-(primes + components - splits)``; in particular -1 for prime knots.
     """
-    lc = decompose(w, budget)
-    if lc.split_count > 1:
+    if not w.is_connected:
         raise ValueError("second_coefficient expects a non-split closure")
-    poly = hfk_euler(w, budget)
-    chi = w.strands - len(w.letters)
-    g = (closure_components(w) - chi) // 2
-    return poly.coefficient(g - 1)
+    return hfk_euler(w, budget).coefficient(closure_genus(w) - 1)
 
 
 # --------------------------------------------------------------------------
@@ -207,14 +200,13 @@ def _normalize_symmetric(p: HalfLaurent) -> HalfLaurent:
     return out
 
 
-def alexander_burau(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:
+def alexander_burau(w: BraidWord) -> HalfLaurent:
     """Graded Euler characteristic via the reduced Burau representation.
 
     ``det(burau(word) - I) / (1 + t + ... + t^(n-1))`` is the Alexander
     polynomial of the closure up to a unit; split inputs give 0.  The
     product with ``(t^(1/2) - t^(-1/2))^(|L|-1)`` is normalised to be
     palindromic with positive top coefficient, matching ``hfk_euler``.
-    ``budget`` is unused (kept for engine-interchangeable signatures).
     """
     n = w.strands
     if n == 1:

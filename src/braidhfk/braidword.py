@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from collections import deque
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 #: Default cap on the number of words visited by any single rewrite search.
 DEFAULT_BUDGET = 200_000
@@ -182,28 +182,6 @@ def closure_genus(w: BraidWord) -> int:
 # Canonical keys: rotation + commutation normal form
 # --------------------------------------------------------------------------
 
-def _trace_least(letters: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least word reachable by distant commutations alone.
-
-    Greedy heap-order linearisation of the dependence order in which two
-    letters commute iff their indices differ by at least 2.
-    """
-    rem = list(letters)
-    out: list[int] = []
-    while rem:
-        mask = 0
-        choice = None
-        choice_j = -1
-        for j, x in enumerate(rem):
-            # x is movable to the front iff no earlier letter within distance 1
-            if not (mask >> (x - 1)) & 0b111:
-                if choice is None or x < choice:
-                    choice, choice_j = x, j
-            mask |= 1 << x
-        out.append(rem.pop(choice_j))
-    return tuple(out)
-
-
 _key_cache: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
 
 
@@ -248,17 +226,6 @@ def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     for u in seen:
         _key_cache[(w.strands, u)] = key
     return key
-
-
-def memo_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """A cheap deterministic key merging only rotation-then-commutation
-    orbits of each rotation; sound for memo tables (same key, same
-    closure) without exploring the full class."""
-    if not w.letters:
-        return (w.strands, ())
-    n = len(w.letters)
-    best = min(_trace_least(w.letters[k:] + w.letters[:k]) for k in range(n))
-    return (w.strands, best)
 
 
 # --------------------------------------------------------------------------
@@ -452,13 +419,15 @@ def clear_caches() -> None:
     _key_cache.clear()
 
 
-def _immediate_reduction(strands: int, u: tuple[int, ...]):
+def immediate_reduction(strands: int, u: tuple[int, ...]):
     """First reduction that fires on the word as written, or None.
 
     The word must be connected (all generators ``1..strands-1`` occur).
     Priority: destabilise at the low boundary, at the high boundary,
     rule A at the smallest interior generator, rule B at the smallest
-    splitting level.
+    splitting level.  The result is ``("destab", piece)`` or ``("cut",
+    piece, piece)``; each piece is a connected ``(strands, letters)``
+    pair, and the closure is the connected sum of the pieces' closures.
     """
     counts = [0] * (strands + 1)
     for x in u:
@@ -508,7 +477,7 @@ def _find_reduction(strands: int, u: tuple[int, ...], b: _Budget):
         v = queue.popleft()
         if not b.spend():
             return _EXHAUSTED
-        r = _immediate_reduction(strands, v)
+        r = immediate_reduction(strands, v)
         if r is not None:
             _reduce_cache[(strands, u)] = r
             return r

@@ -186,7 +186,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_rn(args) -> int:
-    ranks = rn_next_to_top(args.n)
+    ranks = rn_next_to_top(args.n, args.budget)
     _emit(
         {"n": args.n, "next_to_top": ranks.to_triples()},
         args.json,

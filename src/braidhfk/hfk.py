@@ -34,7 +34,6 @@ from typing import Iterable, Mapping, Optional
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
-    memo_key,
     closure_genus,
     find_adjacent_square,
     resolve_square,
@@ -254,7 +253,7 @@ def _split_profile(w: BraidWord, budget: int) -> dict[int, int]:
 
 def _connected_profile(u: BraidWord, budget: int) -> dict[int, int]:
     """Maslov profile of the next-to-top grading of a connected closure."""
-    key = memo_key(u)
+    key = (u.strands, u.letters)
     hit = _profile_cache.get(key)
     if hit is not None:
         return hit

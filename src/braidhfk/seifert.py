@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .braidword import BraidWord, closure_components
+from .braidword import BraidWord
 
 
 class ParityError(ValueError):
@@ -84,9 +84,3 @@ def euler_and_genus(g: SeifertMultigraph, components: int) -> tuple[int, int]:
             f"{components} components incompatible with chi={chi}"
         )
     return chi, (components - chi) // 2
-
-
-def braid_genus(w: BraidWord) -> int:
-    """Genus of the closure of ``w`` via its Seifert graph."""
-    _, g = euler_and_genus(from_braid(w), closure_components(w))
-    return g

@@ -237,3 +237,25 @@ class TestSecondCoefficient:
             conway(BraidWord(3, (1, 2, 1, 2, 1, 2)), budget=1)
         braidword.clear_caches()
         alexander.clear_caches()
+
+
+class TestEngineIndependence:
+    @pytest.mark.parametrize(
+        "w",
+        [
+            torus(4, 5),
+            connected_sum(torus(2, 3), torus(3, 4)),
+            disjoint_union(torus(2, 3), torus(2, 2)),
+            figure3(),
+        ],
+        ids=["T(4,5)", "T(2,3)#T(3,4)", "T(2,3)+T(2,2)", "10_139"],
+    )
+    def test_skein_never_runs_the_orbit_search(self, w, monkeypatch):
+        from braidhfk import alexander, braidword
+
+        def forbidden(*args):
+            raise AssertionError("skein engine ran the decompose orbit search")
+
+        alexander.clear_caches()
+        monkeypatch.setattr(braidword, "_find_reduction", forbidden)
+        assert hfk_euler(w) == alexander_burau(w)

@@ -1,5 +1,6 @@
 import json
 
+from braidhfk import hfk
 from braidhfk.cli import main
 
 
@@ -105,6 +106,12 @@ class TestFamilyAndRings:
         payload = json.loads(out)
         assert code == 0
         assert payload["next_to_top"] == [[-1, 4, 5]]
+
+    def test_rn_passes_budget(self, capsys):
+        hfk.clear_caches()  # a cached profile would skip the search
+        code, _, err = run(capsys, "rn", "5", "--budget", "0")
+        assert code == 2
+        assert "budget" in err
 
     def test_rn_out_of_range(self, capsys):
         code, _, err = run(capsys, "rn", "2")

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from braidhfk.braidword import BraidWord, closure_components
+from braidhfk.braidword import BraidWord, closure_components, closure_genus
 from braidhfk.harness import connected_sum, disjoint_union, figure3
 from braidhfk.seifert import (
     ParityError,
     SeifertMultigraph,
-    braid_genus,
     euler_and_genus,
     fibered_positive,
     from_braid,
@@ -99,11 +98,11 @@ class TestAdditivity:
     def test_genus_additive_under_connected_sum(self):
         words = self.words()
         for w1, w2 in zip(words, reversed(words)):
-            assert braid_genus(connected_sum(w1, w2)) == braid_genus(w1) + braid_genus(w2)
+            assert closure_genus(connected_sum(w1, w2)) == closure_genus(w1) + closure_genus(w2)
 
     def test_genus_additive_under_disjoint_union(self):
         words = self.words()
         for w1, w2 in zip(words, reversed(words)):
             u = disjoint_union(w1, w2)
-            assert braid_genus(u) == braid_genus(w1) + braid_genus(w2)
+            assert closure_genus(u) == closure_genus(w1) + closure_genus(w2)
             assert closure_components(u) == closure_components(w1) + closure_components(w2)
