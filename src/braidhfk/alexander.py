@@ -6,7 +6,11 @@ unknot off the word, and it splits off a summand only where an O(len)
 destabilisation or cut fires on the word as written; it never runs the
 orbit search of ``decompose``, so it stays an independent check of it.
 ``alexander_burau`` is the classical matrix route: the determinant of
-``reduced_burau(word) - I`` divided by ``1 + t + ... + t^(n-1)``.
+``reduced_burau(word) - I`` divided by ``1 + t + ... + t^(n-1)``.  It
+works over ``Z[t]`` with dense coefficient lists, updates one column of
+the matrix per letter, and takes the determinant by fraction-free
+Bareiss elimination, so it costs polynomial time in the strand count
+and never consults the skein route or ``decompose``.
 
 Both are normalised to the same graded Euler characteristic: the result
 of ``hfk_euler`` equals ``sum_(m,a) (-1)^m rank_m(L, a) t^a`` over the
@@ -20,6 +24,8 @@ link calibrates the convention to ``t - 2 + t^-1``.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
@@ -27,6 +33,7 @@ from .braidword import (
     closure_genus,
     find_adjacent_square,
     immediate_reduction,
+    require_budget,
     resolve_square,
 )
 from .polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
@@ -57,6 +64,11 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     ``find_adjacent_square``; every step strictly reduces the crossing
     count, so the recursion terminates.
     """
+    require_budget(budget)
+    return _conway(w, budget)
+
+
+def _conway(w: BraidWord, budget: int) -> ConwayPoly:
     key = (w.strands, w.letters)
     hit = _conway_cache.get(key)
     if hit is not None:
@@ -68,13 +80,13 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     elif (r := immediate_reduction(w.strands, w.letters)) is not None:
         result = ConwayPoly.one()
         for strands, letters in r[1:]:
-            result = result * conway(BraidWord(strands, letters), budget)
+            result = result * _conway(BraidWord(strands, letters), budget)
     else:
         sq = find_adjacent_square(w, budget)
         if sq is None:
             raise EngineFailure(f"no doubled crossing found within budget for {w}")
         triple = resolve_square(sq)
-        result = conway(triple.l_minus, budget) + conway(triple.l_zero, budget).times_z()
+        result = _conway(triple.l_minus, budget) + _conway(triple.l_zero, budget).times_z()
     _conway_cache[key] = result
     return result
 
@@ -109,79 +121,82 @@ def second_coefficient(w: BraidWord, budget: int = DEFAULT_BUDGET) -> int:
 # Reduced Burau engine
 # --------------------------------------------------------------------------
 
-def _burau_entries(n: int, i: int) -> dict[tuple[int, int], HalfLaurent]:
-    """Nonidentity entries of the reduced Burau matrix of generator ``i``.
-
-    Rows and columns are indexed ``1..n-1``; ``t`` is stored with doubled
-    exponent 2.
-    """
-    t = HalfLaurent.monomial(2)
-    minus_t = HalfLaurent.monomial(2, -1)
-    one = HalfLaurent.one()
-    entries: dict[tuple[int, int], HalfLaurent] = {(i, i): minus_t}
-    if i > 1:
-        entries[(i - 1, i)] = t
-    if i < n - 1:
-        entries[(i + 1, i)] = one
-    return entries
+def _trim(c: list[int]) -> list[int]:
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
-def _burau_matrix(n: int, i: int) -> list[list[HalfLaurent]]:
-    zero = HalfLaurent.zero()
-    one = HalfLaurent.one()
-    m = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
-    for (r, c), v in _burau_entries(n, i).items():
-        m[r - 1][c - 1] = v
-    return m
+def _add(a: list[int], b: list[int]) -> list[int]:
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _mat_mul(a: list[list[HalfLaurent]], b: list[list[HalfLaurent]]) -> list[list[HalfLaurent]]:
-    size = len(a)
-    out = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            acc = HalfLaurent.zero()
-            for k in range(size):
-                if a[r][k] and b[k][c]:
-                    acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
-        out.append(row)
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 
-def _det(m: list[list[HalfLaurent]]) -> HalfLaurent:
-    """Laplace expansion memoised over column subsets (fine for small n)."""
-    size = len(m)
-    if size == 0:
-        return HalfLaurent.one()
-    full = (1 << size) - 1
-    memo: dict[int, HalfLaurent] = {0: HalfLaurent.one()}
-
-    def minor(cols: int) -> HalfLaurent:
-        hit = memo.get(cols)
-        if hit is not None:
-            return hit
-        row = size - bin(cols).count("1")
-        acc = HalfLaurent.zero()
-        pos = 0
-        for c in range(size):
-            bit = 1 << c
-            if not cols & bit:
-                continue
-            if m[row][c]:
-                term = m[row][c] * minor(cols & ~bit)
-                acc = acc + (term if pos % 2 == 0 else -term)
-            pos += 1
-        memo[cols] = acc
-        return acc
-
-    return minor(full)
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """Quotient in ``Z[t]``; raises InexactDivisionError on a remainder."""
+    if b == [1] or not a:
+        return a
+    deg = len(b) - 1
+    if len(a) <= deg:
+        raise InexactDivisionError("nonzero remainder")
+    rem = list(a)
+    lead = b[-1]
+    out = [0] * (len(a) - deg)
+    for shift in range(len(out) - 1, -1, -1):
+        c = rem[shift + deg]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise InexactDivisionError("leading coefficient does not divide")
+            out[shift] = q
+            for k, v in enumerate(b, shift):
+                rem[k] -= q * v
+    if any(rem[:deg]):
+        raise InexactDivisionError("nonzero remainder")
+    return out
 
 
-def _cyclotomic_like(n: int) -> HalfLaurent:
-    """``1 + t + ... + t^(n-1)`` with doubled exponents."""
-    return HalfLaurent({2 * k: 1 for k in range(n)})
+def _bareiss_det(a: list[list[list[int]]]) -> list[int]:
+    """Determinant by fraction-free elimination (Bareiss 1968), in place.
+
+    Every update divides exactly by the previous pivot; a zero pivot is
+    replaced by a later row with a nonzero entry in its column, and a
+    column with none gives determinant 0.
+    """
+    size = len(a)
+    sign = 1
+    prev = [1]
+    for k in range(size - 1):
+        if not a[k][k]:
+            for r in range(k + 1, size):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot, pivot_row = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = _exact_div(_sub(_mul(row[j], pivot), _mul(lead, pivot_row[j])), prev)
+        prev = pivot
+    det = a[-1][-1]
+    return det if sign > 0 else [-x for x in det]
 
 
 def _normalize_symmetric(p: HalfLaurent) -> HalfLaurent:
@@ -207,18 +222,29 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
     polynomial of the closure up to a unit; split inputs give 0.  The
     product with ``(t^(1/2) - t^(-1/2))^(|L|-1)`` is normalised to be
     palindromic with positive top coefficient, matching ``hfk_euler``.
+
+    Entries of a positive word's matrix lie in ``Z[t]`` and are kept as
+    dense coefficient lists.  Right-multiplying by generator ``i`` changes
+    only column ``i``, to ``t*M[:,i-1] - t*M[:,i] + M[:,i+1]`` (a term
+    past the edge is dropped), so each letter costs ``O(n)`` updates.
+    The determinant is taken by Bareiss elimination on the transpose,
+    whose rows are the stored columns.
     """
     n = w.strands
     if n == 1:
         return HalfLaurent.one()
-    mat = [[HalfLaurent.one() if r == c else HalfLaurent.zero() for c in range(n - 1)]
-           for r in range(n - 1)]
+    size = n - 1
+    cols = [[[1] if r == c else [] for r in range(size)] for c in range(size)]
+    edge = [[]] * size
     for i in w.letters:
-        mat = _mat_mul(mat, _burau_matrix(n, i))
-    for r in range(n - 1):
-        mat[r][r] = mat[r][r] - HalfLaurent.one()
-    quotient = _det(mat).exact_div(_cyclotomic_like(n))
+        left = cols[i - 2] if i > 1 else edge
+        right = cols[i] if i < size else edge
+        cols[i - 1] = [_add([0] + _sub(a, b), c) for a, b, c in zip(left, cols[i - 1], right)]
+    for c in range(size):
+        cols[c][c] = _sub(cols[c][c], [1])
+    quotient = _exact_div(_bareiss_det(cols), [1] * n)
     if not quotient:
         return HalfLaurent.zero()
-    bridged = _euler_bridge(quotient, closure_components(w))
+    raw = HalfLaurent({2 * k: v for k, v in enumerate(quotient)})
+    bridged = _euler_bridge(raw, closure_components(w))
     return _normalize_symmetric(bridged)

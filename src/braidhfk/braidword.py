@@ -40,6 +40,12 @@ from typing import Iterator, Optional
 #: Default cap on the number of words visited by any single rewrite search.
 DEFAULT_BUDGET = 200_000
 
+#: Largest strand count and word length ``parse_braid`` accepts.  They stop
+#: text such as ``"1^100000000"`` from allocating before anything runs;
+#: they do not promise that every stage finishes quickly below them.
+MAX_STRANDS = 1_000
+MAX_LETTERS = 10_000
+
 
 class ParseError(ValueError):
     """Malformed braid word text."""
@@ -110,8 +116,11 @@ def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
     A token ``i^k`` repeats generator ``i`` exactly ``k`` times (``k >= 1``).
     Without an explicit ``strands``, the strand count is the largest index
     plus one; an empty word then has no well-defined strand count and is
-    rejected.
+    rejected.  Words longer than ``MAX_LETTERS`` or needing more than
+    ``MAX_STRANDS`` strands raise ``RangeError`` before they are built.
     """
+    if strands is not None and strands > MAX_STRANDS:
+        raise RangeError(f"at most {MAX_STRANDS} strands are accepted, got {strands}")
     tokens = [tok for tok in text.replace(",", " ").split() if tok]
     letters: list[int] = []
     for tok in tokens:
@@ -124,6 +133,10 @@ def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
             raise ParseError(f"generator index must be >= 1, got {idx}")
         if power < 1:
             raise ParseError(f"power must be >= 1, got {tok!r}")
+        if idx >= MAX_STRANDS:
+            raise RangeError(f"generator {idx} needs more than {MAX_STRANDS} strands")
+        if len(letters) + power > MAX_LETTERS:
+            raise RangeError(f"words of more than {MAX_LETTERS} letters are not accepted")
         letters.extend([idx] * power)
     if strands is None:
         if not letters:
@@ -247,14 +260,23 @@ def _neighbors(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield u[:j] + (b, a, b) + u[j + 3:]
 
 
+def require_budget(budget: int) -> None:
+    """Reject a non-positive search budget.
+
+    Entry points whose results are memoised call this before any table
+    lookup, so that a bad budget fails the same way with a warm cache.
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+
+
 class _Budget:
     """Mutable countdown of words a search may still visit."""
 
     __slots__ = ("remaining",)
 
     def __init__(self, remaining: int):
-        if remaining <= 0:
-            raise ValueError("budget must be positive")
+        require_budget(remaining)
         self.remaining = remaining
 
     def spend(self) -> bool:

@@ -36,6 +36,7 @@ from .braidword import (
     DEFAULT_BUDGET,
     closure_genus,
     find_adjacent_square,
+    require_budget,
     resolve_square,
     split_pieces,
 )
@@ -311,6 +312,7 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     Independent of the split/prime decomposition machinery: splitness is
     read off the word, everything else resolves doubled crossings.
     """
+    require_budget(budget)
     g = closure_genus(w)
     profile = _split_profile(w, budget)
     return BigradedRank({(m, g - 1): v for m, v in profile.items()})

@@ -38,10 +38,6 @@ class HalfLaurent:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, doubled_exp: int, coeff: int = 1) -> "HalfLaurent":
-        return cls({doubled_exp: coeff})
-
-    @classmethod
     def half_difference(cls) -> "HalfLaurent":
         """The polynomial ``t^(1/2) - t^(-1/2)``."""
         return cls({1: 1, -1: -1})

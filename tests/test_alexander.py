@@ -5,6 +5,8 @@ import sympy
 
 from braidhfk.alexander import (
     EngineFailure,
+    _bareiss_det,
+    _exact_div,
     alexander_burau,
     conway,
     hfk_euler,
@@ -12,7 +14,7 @@ from braidhfk.alexander import (
 )
 from braidhfk.braidword import BraidWord
 from braidhfk.harness import connected_sum, disjoint_union, figure3, torus
-from braidhfk.polynomials import ConwayPoly, HalfLaurent
+from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 
 
 def torus_alexander_oracle(p, q):
@@ -133,10 +135,20 @@ class TestBurau:
             return sympy.expand(quotient)
 
         rng = random.Random(12)
-        for _ in range(20):
-            n = rng.randint(2, 4)
-            letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 7)))
-            w = BraidWord(n, letters)
+        words = []
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 9)))
+            words.append(BraidWord(n, letters))
+        for _ in range(12):
+            # leave one generator out: a split closure, whose elimination
+            # meets zero pivots and has to swap rows
+            n = rng.randint(3, 7)
+            unused = rng.randint(1, n - 1)
+            alphabet = [i for i in range(1, n) if i != unused]
+            letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+            words.append(BraidWord(n, letters))
+        for w in words:
             ours = alexander_burau(w)
             theirs = sympy_burau(w)
             if theirs == 0:
@@ -152,6 +164,45 @@ class TestBurau:
             assert ours == _normalize_symmetric(
                 _euler_bridge(raw, closure_components(w))
             )
+
+    def test_bareiss_matches_sympy_det(self):
+        # sparse random matrices over Z[t]: zero pivots, row swaps and
+        # all-zero columns all occur
+        t = sympy.symbols("t")
+        rng = random.Random(13)
+        swaps = zeros = 0
+        for _ in range(60):
+            size = rng.randint(1, 5)
+            rows = [
+                [
+                    [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
+                    if rng.random() < 0.4 else []
+                    for _ in range(size)
+                ]
+                for _ in range(size)
+            ]
+            for row in rows:
+                for entry in row:
+                    while entry and not entry[-1]:
+                        entry.pop()
+            swaps += not rows[0][0] and any(row[0] for row in rows)
+            expected = sympy.Matrix(
+                [[sum(c * t ** k for k, c in enumerate(e)) for e in row] for row in rows]
+            ).det()
+            det = _bareiss_det([list(row) for row in rows])
+            zeros += not det
+            assert sympy.expand(sum(c * t ** k for k, c in enumerate(det)) - expected) == 0
+        assert swaps and zeros
+
+    def test_exact_division_rejects_a_remainder(self):
+        assert _exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+        for num, den in [([1, 0, 1], [1, 1]), ([1], [0, 1]), ([1, 1], [0, 2])]:
+            with pytest.raises(InexactDivisionError):
+                _exact_div(num, den)
+
+    @pytest.mark.parametrize("p", range(5, 17))
+    def test_torus_knots_past_the_skein_range(self, p):
+        assert alexander_burau(torus(p, p + 1)) == torus_alexander_oracle(p, p + 1)
 
     def test_split_inputs_vanish(self):
         assert alexander_burau(BraidWord(4, (1, 1, 3, 3))) == HalfLaurent.zero()

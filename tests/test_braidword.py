@@ -3,6 +3,8 @@ import random
 import pytest
 
 from braidhfk.braidword import (
+    MAX_LETTERS,
+    MAX_STRANDS,
     BraidWord,
     ParseError,
     RangeError,
@@ -74,6 +76,21 @@ class TestParse:
             parse_braid("1^0")
         with pytest.raises(ParseError):
             parse_braid("1^-2")
+
+    def test_size_guard(self):
+        assert len(parse_braid(f"1^{MAX_LETTERS}")) == MAX_LETTERS
+        assert parse_braid("1", strands=MAX_STRANDS).strands == MAX_STRANDS
+        for text, strands in [
+            ("1^100000000", None),
+            (f"1^{MAX_LETTERS} 1", None),
+            ("1 " * (MAX_LETTERS + 1), None),
+            (str(MAX_STRANDS), None),
+            ("1", MAX_STRANDS + 1),
+        ]:
+            with pytest.raises(RangeError):
+                parse_braid(text, strands)
+        with pytest.raises(RangeError):
+            parse_serialized(f"strands={MAX_STRANDS + 1}: 1")
 
     def test_serialized_round_trip(self):
         for text in ["strands=4: 1 1 2", "strands=2:", "1 2 1"]:

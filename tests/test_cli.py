@@ -1,6 +1,5 @@
 import json
 
-from braidhfk import hfk
 from braidhfk.cli import main
 
 
@@ -77,6 +76,14 @@ class TestVerify:
         assert code == 0
         assert out.count("=> PASS") == 2
 
+    def test_oversized_word_rejected_before_building(self, capsys):
+        code, _, err = run(capsys, "verify", "1^100000000")
+        assert code == 2
+        assert "letters" in err
+        code, _, err = run(capsys, "verify", "strands=100000: 1")
+        assert code == 2
+        assert "strands" in err
+
 
 class TestCorpus:
     def test_listing(self, capsys):
@@ -108,7 +115,7 @@ class TestFamilyAndRings:
         assert payload["next_to_top"] == [[-1, 4, 5]]
 
     def test_rn_passes_budget(self, capsys):
-        hfk.clear_caches()  # a cached profile would skip the search
+        run(capsys, "rn", "5")  # a warm memo must not skip the budget check
         code, _, err = run(capsys, "rn", "5", "--budget", "0")
         assert code == 2
         assert "budget" in err

@@ -180,6 +180,19 @@ class TestSkeinRecursion:
         hfk.clear_caches()
 
 
+class TestBudgetBeforeMemo:
+    def test_warm_memo_still_rejects_a_bad_budget(self):
+        from braidhfk.alexander import hfk_euler
+
+        w = torus(3, 4)
+        hfk_euler(w)
+        rn_next_to_top(5)
+        with pytest.raises(ValueError, match="budget"):
+            hfk_euler(w, 0)
+        with pytest.raises(ValueError, match="budget"):
+            rn_next_to_top(5, 0)
+
+
 class TestRingLinks:
     def test_small_rings(self):
         assert rn_next_to_top(3) == BigradedRank({(-1, 2): 3})
