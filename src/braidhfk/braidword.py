@@ -192,61 +192,11 @@ def closure_genus(w: BraidWord) -> int:
 
 
 # --------------------------------------------------------------------------
-# Canonical keys: rotation + commutation normal form
+# Length-preserving moves and the breadth-first orbit walk
 # --------------------------------------------------------------------------
 
-_key_cache: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
-
-
-def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """A key equal exactly for words related by rotations and distant
-    commutations: the lexicographically least member of that class.
-
-    The two move kinds interact across the wrap point (commuting a letter
-    changes which words are rotations), so the least member is found by
-    exhausting the class rather than by normalising each rotation.  Every
-    word seen along the way shares the key and is cached, which keeps
-    repeated queries within one class cheap.  Braid relations are
-    deliberately not quotiented out: keys only ever merge words with the
-    same closure, so memoisation on the key is sound.
-    """
-    raw = (w.strands, w.letters)
-    hit = _key_cache.get(raw)
-    if hit is not None:
-        return hit
-    if not w.letters:
-        _key_cache[raw] = raw
-        return raw
-    seen = {w.letters}
-    queue = deque([w.letters])
-    best = w.letters
-    while queue:
-        u = queue.popleft()
-        if u < best:
-            best = u
-        n = len(u)
-        rot = u[1:] + u[:1]
-        if rot not in seen:
-            seen.add(rot)
-            queue.append(rot)
-        for j in range(n - 1):
-            if abs(u[j] - u[j + 1]) >= 2:
-                v = u[:j] + (u[j + 1], u[j]) + u[j + 2:]
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-    key = (w.strands, best)
-    for u in seen:
-        _key_cache[(w.strands, u)] = key
-    return key
-
-
-# --------------------------------------------------------------------------
-# Length-preserving moves and the breadth-first rewrite search
-# --------------------------------------------------------------------------
-
-def _neighbors(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """One-step rewrites: rotation, distant commutations, braid relations."""
+def _shuffles(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """One-step rotation and distant commutations."""
     n = len(u)
     if n > 1:
         yield u[1:] + u[:1]
@@ -254,10 +204,58 @@ def _neighbors(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         a, b = u[j], u[j + 1]
         if abs(a - b) >= 2:
             yield u[:j] + (b, a) + u[j + 2:]
-    for j in range(n - 2):
+
+
+def _braid_moves(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """One-step braid relations ``s_i s_j s_i -> s_j s_i s_j``, ``|i-j| = 1``."""
+    for j in range(len(u) - 2):
         a, b = u[j], u[j + 1]
         if u[j + 2] == a and abs(a - b) == 1:
             yield u[:j] + (b, a, b) + u[j + 3:]
+
+
+_ALL_MOVES = (_shuffles, _braid_moves)
+
+
+def _orbit(u: tuple[int, ...], moves, budget: Optional[_Budget] = None) -> Iterator[tuple[int, ...]]:
+    """The words reachable from ``u`` by ``moves``, breadth first, ``u`` first.
+
+    Each word yielded spends one unit of ``budget``.  When a word is still
+    waiting but the budget is spent, the walk stops and sets
+    ``budget.exhausted``; a walk that empties its queue leaves it False.
+    """
+    seen = {u}
+    queue = deque([u])
+    while queue:
+        v = queue.popleft()
+        if budget is not None and not budget.spend():
+            return
+        yield v
+        for move in moves:
+            for nb in move(v):
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+
+
+def word_class(w: BraidWord) -> Iterator[tuple[int, ...]]:
+    """The letters of every word related to ``w`` by rotations and distant
+    commutations, ``w`` first.  All of them close to the same link."""
+    return _orbit(w.letters, (_shuffles,))
+
+
+def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """A key equal exactly for words related by rotations and distant
+    commutations: the strand count and the lexicographically least member
+    of that class.
+
+    The two move kinds interact across the wrap point (commuting a letter
+    changes which words are rotations), so the least member is found by
+    walking the whole class rather than by normalising each rotation.
+    Braid relations are deliberately not quotiented out: keys only ever
+    merge words with the same closure.
+    """
+    return (w.strands, min(word_class(w)))
 
 
 def require_budget(budget: int) -> None:
@@ -271,16 +269,21 @@ def require_budget(budget: int) -> None:
 
 
 class _Budget:
-    """Mutable countdown of words a search may still visit."""
+    """Mutable countdown of words a search may still visit.
 
-    __slots__ = ("remaining",)
+    ``exhausted`` turns True once a search asked for a word past the end.
+    """
+
+    __slots__ = ("remaining", "exhausted")
 
     def __init__(self, remaining: int):
         require_budget(remaining)
         self.remaining = remaining
+        self.exhausted = False
 
     def spend(self) -> bool:
         if self.remaining <= 0:
+            self.exhausted = True
             return False
         self.remaining -= 1
         return True
@@ -354,21 +357,10 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
         raise ValueError("find_adjacent_square expects a connected word")
     if closure_genus(w) == 0:
         return None
-    start = w.letters
-    seen = {start}
-    queue = deque([start])
-    b = _Budget(budget)
-    while queue:
-        u = queue.popleft()
-        if not b.spend():
-            return None
+    for u in _orbit(w.letters, _ALL_MOVES, _Budget(budget)):
         hit = _adjacent_pair(u)
         if hit is not None:
             return BraidWord(w.strands, hit)
-        for v in _neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
     return None
 
 
@@ -438,7 +430,6 @@ _reduce_cache: dict[tuple[int, tuple[int, ...]], object] = {}
 
 def clear_caches() -> None:
     _reduce_cache.clear()
-    _key_cache.clear()
 
 
 def immediate_reduction(strands: int, u: tuple[int, ...]):
@@ -493,21 +484,16 @@ def _find_reduction(strands: int, u: tuple[int, ...], b: _Budget):
     cached = _reduce_cache.get((strands, u))
     if cached is not None:
         return cached
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        v = queue.popleft()
-        if not b.spend():
-            return _EXHAUSTED
+    walked = []
+    for v in _orbit(u, _ALL_MOVES, b):
         r = immediate_reduction(strands, v)
         if r is not None:
             _reduce_cache[(strands, u)] = r
             return r
-        for nb in _neighbors(v):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    for v in seen:
+        walked.append(v)
+    if b.exhausted:
+        return _EXHAUSTED
+    for v in walked:
         _reduce_cache[(strands, v)] = _PRIME
     return _PRIME
 

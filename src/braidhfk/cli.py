@@ -14,7 +14,7 @@ from typing import Optional
 from . import harness
 from .alexander import alexander_burau, hfk_euler
 from .braidword import BraidWord, DEFAULT_BUDGET, decompose, parse_serialized
-from .hfk import next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
+from .hfk import BigradedRank, next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
 from .kauffman import bigraded_counts, build_diagram, counts_to_json, enumerate_states, state_line
 from .polynomials import HalfLaurent
 from .seifert import euler_and_genus, fibered_positive, from_braid
@@ -63,14 +63,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _kauffman_poly(w: BraidWord) -> HalfLaurent:
-    states = enumerate_states(build_diagram(w))
-    return HalfLaurent.from_pairs(
-        (2 * a, n if m % 2 == 0 else -n)
-        for (m, a), n in bigraded_counts(states).items()
-    )
-
-
 def _cmd_alexander(args) -> int:
     w = _word(args.word)
     methods = ["skein", "burau", "kauffman"] if args.method == "all" else [args.method]
@@ -82,7 +74,8 @@ def _cmd_alexander(args) -> int:
             values[method] = alexander_burau(w)
         else:
             try:
-                values[method] = _kauffman_poly(w)
+                states = enumerate_states(build_diagram(w))
+                values[method] = BigradedRank(bigraded_counts(states)).signed_euler()
             except ValueError as exc:
                 if args.method == "kauffman":
                     print(f"error: {exc}", file=sys.stderr)
@@ -155,7 +148,7 @@ def _cmd_verify(args) -> int:
         words = [_word(args.word)]
     reports = harness.verify_all(words, args.budget)
     if args.json:
-        print(json.dumps([r.to_json() for r in reports], sort_keys=True))
+        print(harness.reports_to_json(reports))
     else:
         for r in reports:
             print(r.render_text())
@@ -171,7 +164,7 @@ def _cmd_corpus(args) -> int:
     reports = harness.verify_all(words, args.budget)
     failures = [r for r in reports if not r.overall_pass]
     if args.json:
-        print(json.dumps([r.to_json() for r in reports], sort_keys=True))
+        print(harness.reports_to_json(reports))
     else:
         for r in failures:
             print(r.render_text())

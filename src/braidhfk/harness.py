@@ -21,9 +21,9 @@ from .alexander import EngineFailure, alexander_burau, hfk_euler
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
-    canonical_key,
     decompose,
     parse_serialized,
+    word_class,
 )
 from .hfk import (
     BigradedRank,
@@ -130,22 +130,19 @@ def family(name: str, *params) -> BraidWord:
 
 def corpus(max_strands: int, max_len: int) -> list[BraidWord]:
     """All words on ``max_strands`` strands of length <= ``max_len``, one per
-    rotation/commutation class, in a deterministic order."""
+    rotation/commutation class: the lex-least member, since each class is
+    met first there when the words of one length are walked in lex order.
+    Shorter words come first."""
     if max_strands < 2:
         raise ValueError("corpus needs at least 2 strands")
     alphabet = tuple(range(1, max_strands))
-    seen: set = set()
     words: list[BraidWord] = []
     for length in range(max_len + 1):
+        seen: set[tuple[int, ...]] = set()
         for letters in product(alphabet, repeat=length):
-            if length and letters != min(
-                letters[k:] + letters[:k] for k in range(length)
-            ):
-                continue  # cheap pre-filter: keep lex-least rotations only
-            w = BraidWord(max_strands, letters)
-            key = canonical_key(w)
-            if key not in seen:
-                seen.add(key)
+            if letters not in seen:
+                w = BraidWord(max_strands, letters)
+                seen.update(word_class(w))
                 words.append(w)
     return words
 
@@ -299,10 +296,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     if components == 1:
         states = enumerate_states(build_diagram(w))
         counts = bigraded_counts(states)
-        kauffman_poly = HalfLaurent.from_pairs(
-            (2 * a, count if m % 2 == 0 else -count)
-            for (m, a), count in counts.items()
-        )
+        kauffman_poly = BigradedRank(counts).signed_euler()
         checks["kauffman_matches"] = kauffman_poly == skein_poly
         top_slice = {(m, a): c for (m, a), c in counts.items() if a == g}
         checks["kauffman_top_state_unique"] = top_slice == {(0, g): 1}

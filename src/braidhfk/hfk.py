@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import dataclasses
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Mapping
 
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
+    SkeinTriple,
     closure_genus,
     find_adjacent_square,
     require_budget,
@@ -166,18 +167,10 @@ def predicted_next_to_top(p: int, s: int, components: int, g: int) -> BigradedRa
     return BigradedRank(out)
 
 
-def predicted_top(s: int, g: int, piece_tops: Optional[Iterable[BigradedRank]] = None) -> BigradedRank:
+def predicted_top(s: int, g: int) -> BigradedRank:
     """Top group: ``F[0]`` at ``A = g`` for non-split closures, and the
     tensor of the pieces' tops with ``V^(x)(s-1)`` otherwise."""
-    if s == 1:
-        return BigradedRank({(0, g): 1})
-    if piece_tops is None:
-        base = BigradedRank({(0, g): 1})
-    else:
-        base = BigradedRank.unit()
-        for t in piece_tops:
-            base = base.tensor(t)
-    return base.tensor(V.tensor_power(s - 1))
+    return BigradedRank({(0, g): 1}).tensor(V.tensor_power(s - 1))
 
 
 # --------------------------------------------------------------------------
@@ -253,32 +246,42 @@ def _split_profile(w: BraidWord, budget: int) -> dict[int, int]:
 
 
 def _connected_profile(u: BraidWord, budget: int) -> dict[int, int]:
-    """Maslov profile of the next-to-top grading of a connected closure."""
+    """Maslov profile of the next-to-top grading of a connected closure.
+
+    Each triangle step needs the profile of its oriented resolution
+    ``l_zero``, so the loop first walks down the chain of resolutions to
+    a word whose profile is known, then folds the steps back up.  The
+    chain is as long as the crossing count, which is why this is a loop
+    and not a recursion.
+    """
+    chain: list[tuple[tuple[int, tuple[int, ...]], SkeinTriple]] = []
     key = (u.strands, u.letters)
-    hit = _profile_cache.get(key)
-    if hit is not None:
-        return hit
-    g = closure_genus(u)
-    if g == 0:
-        result: dict[int, int] = {}
-    elif u.strands == 2 and u.letters == (1, 1):
-        result = {-1: 2}  # positive Hopf link
-    elif u.strands == 2 and u.letters == (1, 1, 1):
-        result = {-1: 1}  # right-handed trefoil
-    else:
-        sq = find_adjacent_square(u, budget)
-        if sq is None:
-            raise UnverifiableError(f"no doubled crossing found within budget for {u}")
-        triple = resolve_square(sq)
-        g_minus = closure_genus(triple.l_minus)
-        g_zero = closure_genus(triple.l_zero)
-        if not (g == g_minus + 1 == g_zero + triple.delta):
-            raise NegativeRankError(f"genus bookkeeping violated at {sq}")
-        zero_profile = _connected_profile(triple.l_zero, budget)
-        r0_neg1 = zero_profile.get(-1, 0)
-        r0_zero = zero_profile.get(0, 0)
-        i = sq.letters[0]
-        count = sq.letters.count(i)
+    while key not in _profile_cache:
+        g = closure_genus(u)
+        if g == 0:
+            _profile_cache[key] = {}
+        elif u.strands == 2 and u.letters == (1, 1):
+            _profile_cache[key] = {-1: 2}  # positive Hopf link
+        elif u.strands == 2 and u.letters == (1, 1, 1):
+            _profile_cache[key] = {-1: 1}  # right-handed trefoil
+        else:
+            sq = find_adjacent_square(u, budget)
+            if sq is None:
+                raise UnverifiableError(f"no doubled crossing found within budget for {u}")
+            triple = resolve_square(sq)
+            g_minus = closure_genus(triple.l_minus)
+            g_zero = closure_genus(triple.l_zero)
+            if not (g == g_minus + 1 == g_zero + triple.delta):
+                raise NegativeRankError(f"genus bookkeeping violated at {sq}")
+            chain.append((key, triple))
+            u = triple.l_zero
+            key = (u.strands, u.letters)
+    result = _profile_cache[key]
+    for key, triple in reversed(chain):
+        r0_neg1 = result.get(-1, 0)
+        r0_zero = result.get(0, 0)
+        i = triple.l_plus.letters[0]
+        count = triple.l_plus.letters.count(i)
         fewer = triple.delta == 1
         if count == 2:
             # the resolved-to-negative word loses the generator entirely,
@@ -302,7 +305,7 @@ def _connected_profile(u: BraidWord, budget: int) -> dict[int, int]:
             result[-1] = rank_neg1
         if rank_zero:
             result[0] = rank_zero
-    _profile_cache[key] = result
+        _profile_cache[key] = result
     return result
 
 
@@ -310,7 +313,13 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     """Next-to-top group computed inductively from the skein triangle.
 
     Independent of the split/prime decomposition machinery: splitness is
-    read off the word, everything else resolves doubled crossings.
+    read off the word, everything else resolves doubled crossings.  This
+    is deliberate, and the reason it never takes the destabilisations and
+    cuts of ``immediate_reduction`` the way ``alexander.conway`` does:
+    the closed formula it is checked against counts primes with those
+    same cut rules, so a recursion that also split at them would share
+    any wrong cut with the formula, and ``formula_matches_recursion``
+    would still agree.
     """
     require_budget(budget)
     g = closure_genus(w)

@@ -113,39 +113,6 @@ class HalfLaurent:
         r._c = {k + doubled_exp: v for k, v in self._c.items()}
         return r
 
-    def exact_div(self, divisor: "HalfLaurent") -> "HalfLaurent":
-        """Exact polynomial quotient; raises InexactDivisionError on remainder."""
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return HalfLaurent.zero()
-        # anchor both at exponent 0 so ordinary division terminates
-        abot, dbot = min(self._c), min(divisor._c)
-        rem = {k - abot: v for k, v in self._c.items()}
-        div = {k - dbot: v for k, v in divisor._c.items()}
-        dtop = max(div)
-        dlead = div[dtop]
-        out: dict[int, int] = {}
-        while rem:
-            top = max(rem)
-            if top < dtop:
-                raise InexactDivisionError("nonzero remainder")
-            q, r = divmod(rem[top], dlead)
-            if r != 0:
-                raise InexactDivisionError("leading coefficient does not divide")
-            shift = top - dtop
-            out[shift] = q
-            for k, v in div.items():
-                kk = k + shift
-                s = rem.get(kk, 0) - q * v
-                if s:
-                    rem[kk] = s
-                else:
-                    rem.pop(kk, None)
-        res = HalfLaurent()
-        res._c = {k + abot - dbot: v for k, v in out.items() if v}
-        return res
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, exponent: int) -> int:

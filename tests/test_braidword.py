@@ -233,6 +233,23 @@ class TestDecompose:
         assert not lc.verified
         braidword.clear_caches()
 
+    def test_budget_that_covers_the_orbit_exactly_verifies(self):
+        # the orbit of (s1 s2)^3 has 8 words: a search runs out only when a
+        # word is still waiting, so a budget of 8 finishes and 7 does not
+        from braidhfk import braidword
+        w = BraidWord(3, (1, 2, 1, 2, 1, 2))
+        for budget, verified in [(8, True), (7, False)]:
+            braidword.clear_caches()
+            assert decompose(w, budget=budget).verified is verified
+        braidword.clear_caches()
+
+    def test_orbit_spends_one_unit_per_word(self):
+        from braidhfk.braidword import _ALL_MOVES, _Budget, _orbit
+        for budget, walked, exhausted in [(9, 8, False), (8, 8, False), (7, 7, True), (1, 1, True)]:
+            b = _Budget(budget)
+            assert len(list(_orbit((1, 2, 1, 2, 1, 2), _ALL_MOVES, b))) == walked
+            assert b.exhausted is exhausted
+
 
 class TestSplitPieces:
     def test_isolated_strands(self):

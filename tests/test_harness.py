@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -75,6 +77,7 @@ class TestCorpus:
         words = corpus(3, 4)
         keys = [canonical_key(w) for w in words]
         assert len(keys) == len(set(keys))
+        assert all(key == (w.strands, w.letters) for key, w in zip(keys, words))
 
     def test_count_stable(self):
         # frozen size of the working corpus; determinism of the enumeration
@@ -152,3 +155,19 @@ class TestVerify:
         assert payload["pass"] is True
         assert "elapsed" not in payload
         assert "elapsed" in verify(BraidWord(2, (1, 1))).to_json(include_timing=True)
+
+
+class TestTracedBenchmark:
+    def test_worker_layers_resolve_on_harness(self):
+        # perfbench/worker.py --trace wraps these names on harness with a
+        # bare getattr; it imports only the standard library at module level
+        from braidhfk import harness
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        names = [name for layer in worker.LAYERS.values() for name in layer]
+        assert names
+        for name in names:
+            assert callable(getattr(harness, name, None)), name

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidhfk.braidword import BraidWord, closure_components, closure_genus, decompose
-from braidhfk.harness import connected_sum, disjoint_union, figure3, torus
+from braidhfk.harness import connected_sum, disjoint_union, figure3, t2, torus
 from braidhfk.hfk import (
     BigradedRank,
     J,
@@ -91,8 +91,9 @@ class TestPredicted:
         assert predicted_top(2, 2) == BigradedRank({(0, 2): 1, (-1, 2): 1})
 
     def test_top_with_explicit_piece_tops(self):
-        tops = [BigradedRank({(0, 1): 1}), BigradedRank({(0, 1): 1})]
-        assert predicted_top(2, 2, tops) == BigradedRank({(0, 2): 1, (-1, 2): 1})
+        # a split closure's top is the tensor of its pieces' tops with V
+        tops = BigradedRank({(0, 1): 1}).tensor(BigradedRank({(0, 1): 1}))
+        assert predicted_top(2, 2) == tops.tensor(V)
 
 
 class TestTriangleSolve:
@@ -169,6 +170,10 @@ class TestSkeinRecursion:
             g = closure_genus(w)
             assert next_to_top_via_skein(w) == BigradedRank({(-1, g - 1): 1})
 
+    def test_chain_longer_than_the_recursion_limit(self):
+        # 1101 crossings resolve one at a time along the l_zero chain
+        assert next_to_top_via_skein(t2(1101)) == predicted_next_to_top(1, 1, 1, 550)
+
     def test_unverifiable_on_tiny_budget(self):
         from braidhfk import braidword, hfk
 
@@ -178,6 +183,37 @@ class TestSkeinRecursion:
             next_to_top_via_skein(BraidWord(3, (1, 2, 1, 2, 1, 2)), budget=1)
         braidword.clear_caches()
         hfk.clear_caches()
+
+
+class TestDecompositionIndependence:
+    @pytest.mark.parametrize(
+        "w",
+        [
+            torus(4, 5),
+            connected_sum(torus(2, 3), torus(3, 4)),
+            disjoint_union(torus(2, 3), torus(2, 2)),
+            figure3(),
+        ],
+        ids=["T(4,5)", "T(2,3)#T(3,4)", "T(2,3)+T(2,2)", "10_139"],
+    )
+    def test_recursion_never_takes_a_decompose_cut(self, w, monkeypatch):
+        # the formula counts primes with the cut rules; a recursion that
+        # split at the same cuts would share a wrong cut with it
+        from braidhfk import braidword, hfk
+
+        lc = decompose(w)
+        expected = predicted_next_to_top(
+            lc.prime_count, lc.split_count, lc.components, closure_genus(w)
+        )
+
+        def forbidden(*args):
+            raise AssertionError("skein recursion ran a decompose reduction")
+
+        for name in ("_find_reduction", "immediate_reduction"):
+            monkeypatch.setattr(braidword, name, forbidden)
+            monkeypatch.setattr(hfk, name, forbidden, raising=False)
+        hfk.clear_caches()
+        assert next_to_top_via_skein(w) == expected
 
 
 class TestBudgetBeforeMemo:

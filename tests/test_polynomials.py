@@ -1,9 +1,8 @@
 import random
 
-import pytest
 import sympy
 
-from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
+from braidhfk.polynomials import ConwayPoly, HalfLaurent
 
 
 def to_sympy(p: HalfLaurent):
@@ -36,19 +35,6 @@ class TestHalfLaurent:
             for ours, theirs in [(a + b, sa + sb), (a * b, sa * sb), (a - b, sa - sb)]:
                 got, _ = to_sympy(ours)
                 assert sympy.simplify(got - theirs) == 0
-
-    def test_exact_division(self):
-        num = HalfLaurent({4: 1, 2: 1, 0: 1})  # t^2 + t + 1
-        prod = HalfLaurent({8: 1, 4: 1, 2: 1, 0: 1}) * num
-        assert prod.exact_div(num) == HalfLaurent({8: 1, 4: 1, 2: 1, 0: 1})
-        # t^2 + t + 1 is not divisible by t + 1
-        with pytest.raises(InexactDivisionError):
-            num.exact_div(HalfLaurent({2: 1, 0: 1}))
-
-    def test_division_with_laurent_shifts(self):
-        p = HalfLaurent({1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
-        q = (p ** 3).exact_div(p)
-        assert q == p * p
 
     def test_symmetry_predicate(self):
         assert HalfLaurent({2: 1, 0: -2, -2: 1}).is_symmetric()
