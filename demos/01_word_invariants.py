@@ -12,7 +12,7 @@ from braidhfk import (
 EXAMPLES = [
     ("1 1", "positive Hopf link"),
     ("1 1 1", "right-handed trefoil"),
-    ("1 2 1 2", "trefoil again, hidden on three strands"),
+    ("1 2 1 2", "trefoil again on three strands, its own prime factor"),
     ("1 1 2 3 3", "connected sum of two Hopf links"),
     ("1^3 2^3", "granny knot (trefoil # trefoil)"),
     ("strands=4: 1 1 3 3", "two Hopf links, split"),

@@ -2,9 +2,10 @@
 
 ``conway`` resolves doubled crossings with the oriented skein relation
 ``nabla(L+) = nabla(L-) + z * nabla(L0)``.  It reads splitness and the
-unknot off the word, and it splits off a summand only where an O(len)
-destabilisation or cut fires on the word as written; it never runs the
-orbit search of ``decompose``, so it stays an independent check of it.
+unknot off the word, and it splits off a summand wherever one of the
+destabilisations and cuts of ``immediate_reduction`` fires; Burau checks
+those cuts, since a wrong one changes the product.  It never calls
+``decompose``.
 ``alexander_burau`` is the classical matrix route: the determinant of
 ``reduced_burau(word) - I`` divided by ``1 + t + ... + t^(n-1)``.  It
 works over ``Z[t]`` with dense coefficient lists, updates one column of
@@ -25,6 +26,7 @@ link calibrates the convention to ``t - 2 + t^-1``.
 from __future__ import annotations
 
 from itertools import zip_longest
+from typing import Optional
 
 from .braidword import (
     BraidWord,
@@ -58,7 +60,7 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     """Conway polynomial of the closure via the skein recursion.
 
     Split closures give 0 and unknots give 1.  When a destabilisation or
-    a cut fires on the word as written, the result is the product over
+    a cut of ``immediate_reduction`` fires, the result is the product over
     the pieces, since Conway is multiplicative under connected sum.
     Everything else resolves at a doubled crossing found by
     ``find_adjacent_square``; every step strictly reduces the crossing
@@ -69,26 +71,46 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
 
 
 def _conway(w: BraidWord, budget: int) -> ConwayPoly:
-    key = (w.strands, w.letters)
-    hit = _conway_cache.get(key)
-    if hit is not None:
-        return hit
-    if not w.is_connected:
-        result = ConwayPoly.zero()
-    elif closure_genus(w) == 0:
-        result = ConwayPoly.one()
-    elif (r := immediate_reduction(w.strands, w.letters)) is not None:
-        result = ConwayPoly.one()
-        for strands, letters in r[1:]:
-            result = result * _conway(BraidWord(strands, letters), budget)
-    else:
-        sq = find_adjacent_square(w, budget)
-        if sq is None:
-            raise EngineFailure(f"no doubled crossing found within budget for {w}")
-        triple = resolve_square(sq)
-        result = _conway(triple.l_minus, budget) + _conway(triple.l_zero, budget).times_z()
-    _conway_cache[key] = result
-    return result
+    """Fold the skein tree over the memo table in post-order.
+
+    The tree is as deep as the crossing count, so it is walked with an
+    explicit stack rather than by recursion: a word is expanded when it
+    is first popped, and combined from its sub-words when popped again.
+    """
+    stack: list[tuple[BraidWord, Optional[tuple]]] = [(w, None)]
+    while stack:
+        u, expansion = stack.pop()
+        key = (u.strands, u.letters)
+        if key in _conway_cache:
+            continue
+        if expansion is None:
+            if not u.is_connected:
+                _conway_cache[key] = ConwayPoly.zero()
+                continue
+            if closure_genus(u) == 0:
+                _conway_cache[key] = ConwayPoly.one()
+                continue
+            if (r := immediate_reduction(u.strands, u.letters)) is not None:
+                expansion = (False, tuple(BraidWord(strands, letters) for strands, letters in r[1:]))
+            else:
+                sq = find_adjacent_square(u, budget)
+                if sq is None:
+                    raise EngineFailure(f"no doubled crossing found within budget for {u}")
+                triple = resolve_square(sq)
+                expansion = (True, (triple.l_minus, triple.l_zero))
+            stack.append((u, expansion))
+            stack.extend((sub, None) for sub in expansion[1])
+            continue
+        skein, subs = expansion
+        values = [_conway_cache[(sub.strands, sub.letters)] for sub in subs]
+        if skein:
+            result = values[0] + values[1].times_z()
+        else:
+            result = ConwayPoly.one()
+            for v in values:
+                result = result * v
+        _conway_cache[key] = result
+    return _conway_cache[(w.strands, w.letters)]
 
 
 def _euler_bridge(nabla: HalfLaurent, components: int) -> HalfLaurent:

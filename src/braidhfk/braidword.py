@@ -10,24 +10,37 @@ the braid relation ``s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}``.  These
 are the only moves used anywhere in this package; stabilisation is
 never applied.
 
-Decomposition into split pieces and prime connected-sum factors works
-with three word-level reductions, applied to a fixpoint and, when
-nothing fires on the word as written, exposed by a bounded
-breadth-first search over the move set:
+Decomposition into split pieces and prime connected-sum factors applies
+three word-level reductions to a fixpoint:
 
 * a boundary generator occurring exactly once is a Markov
   destabilisation: delete the letter together with its strand;
 * an interior generator occurring exactly once is a cut point: the
   word falls apart into the sub-words left and right of that strand
   (rule A);
-* a word that is cyclically two consecutive blocks, one block using
-  only generators ``< k`` and the other only ``>= k``, is a connected
-  sum along strand ``k`` (rule B).
+* at level ``k``, when the cyclic subsequence of the letters ``k-1`` and
+  ``k`` changes letter exactly twice, the closure is a connected sum
+  along strand ``k`` (rule B): rotated to the first ``k-1`` that follows
+  a ``k``, the word commutes into a block of its letters ``< k`` followed
+  by a block of its letters ``>= k``.
 
-The reductions are sound.  Whether the bounded search finds every
-composite closure is not known, so each decomposition carries a
-``verified`` flag that is dropped whenever a search budget runs out
-before the word's move orbit was exhausted.
+Every rule reads only what rotations and distant commutations leave
+unchanged: generator counts, and for rule B the cyclic order of the two
+letters that do not commute across the cut.  By the projection lemma of
+trace monoids (Cartier-Foata 1969; Diekert-Rozenberg, *The Book of
+Traces*, 1995) a word commutes into a low block and a high block exactly
+when that order is ``(k-1)^a k^b``, so rule B fires at ``k`` iff some
+rotation and commutation of the word splits there.
+
+The reductions are also complete.  Read the closed word as a plane
+diagram: a generator occurring once is exactly a nugatory crossing, and
+once there are none, two faces of the diagram share two edges (a circle
+meets the diagram in two points with crossings on both sides) exactly
+when rule B fires at some level.  Cromwell, "Positive braids are visually
+prime" (Proc. London Math. Soc. 67, 1993), shows that a closed positive
+braid diagram of a composite link is visually composite in this sense.
+So a connected word on which nothing fires closes to a prime link, and
+no braid relation or orbit search is needed to find the factors.
 """
 
 from __future__ import annotations
@@ -420,27 +433,17 @@ def split_pieces(w: BraidWord) -> list[BraidWord]:
     return pieces
 
 
-_PRIME = "prime"
-_EXHAUSTED = "exhausted"
-
-# Outcomes of reducing a connected word, shared across every word visited
-# while exploring its move orbit (orbit mates close to the same link).
-_reduce_cache: dict[tuple[int, tuple[int, ...]], object] = {}
-
-
-def clear_caches() -> None:
-    _reduce_cache.clear()
-
-
 def immediate_reduction(strands: int, u: tuple[int, ...]):
-    """First reduction that fires on the word as written, or None.
+    """First reduction that fires on the word, or None.
 
     The word must be connected (all generators ``1..strands-1`` occur).
     Priority: destabilise at the low boundary, at the high boundary,
     rule A at the smallest interior generator, rule B at the smallest
-    splitting level.  The result is ``("destab", piece)`` or ``("cut",
-    piece, piece)``; each piece is a connected ``(strands, letters)``
-    pair, and the closure is the connected sum of the pieces' closures.
+    splitting level.  Whether a rule fires is the same for every word
+    related to ``u`` by rotations and distant commutations.  The result
+    is ``("destab", piece)`` or ``("cut", piece, piece)``; each piece is a
+    connected ``(strands, letters)`` pair, and the closure is the
+    connected sum of the pieces' closures.
     """
     counts = [0] * (strands + 1)
     for x in u:
@@ -456,17 +459,10 @@ def immediate_reduction(strands: int, u: tuple[int, ...]):
             left = tuple(x for x in u if x < i)
             right = tuple(x - i for x in u if x > i)
             return ("cut", (i, left), (strands - i, right))
-    n = len(u)
     for k in range(2, strands):
-        transitions = 0
-        for j in range(n):
-            if (u[j] < k) != (u[(j + 1) % n] < k):
-                transitions += 1
-        if transitions == 2:
-            # rotate so the low block is contiguous from the front
-            start = next(
-                j for j in range(n) if u[j] < k and u[(j - 1) % n] >= k
-            )
+        pos = [j for j, x in enumerate(u) if x == k - 1 or x == k]
+        if sum(u[a] != u[b] for a, b in zip(pos, pos[1:] + pos[:1])) == 2:
+            start = next(j for i, j in enumerate(pos) if u[j] == k - 1 and u[pos[i - 1]] == k)
             rot = u[start:] + u[:start]
             low = tuple(x for x in rot if x < k)
             high = tuple(x - (k - 1) for x in rot if x >= k)
@@ -474,41 +470,15 @@ def immediate_reduction(strands: int, u: tuple[int, ...]):
     return None
 
 
-def _find_reduction(strands: int, u: tuple[int, ...], b: _Budget):
-    """Search the move orbit of ``u`` for a word where a reduction fires.
-
-    Returns the reduction, ``_PRIME`` when the whole orbit was exhausted
-    with nothing firing, or ``_EXHAUSTED`` on budget overrun.  All words
-    visited during a full exploration are cached as prime.
-    """
-    cached = _reduce_cache.get((strands, u))
-    if cached is not None:
-        return cached
-    walked = []
-    for v in _orbit(u, _ALL_MOVES, b):
-        r = immediate_reduction(strands, v)
-        if r is not None:
-            _reduce_cache[(strands, u)] = r
-            return r
-        walked.append(v)
-    if b.exhausted:
-        return _EXHAUSTED
-    for v in walked:
-        _reduce_cache[(strands, v)] = _PRIME
-    return _PRIME
-
-
-def decompose(w: BraidWord, budget: int = DEFAULT_BUDGET) -> LinkClass:
+def decompose(w: BraidWord) -> LinkClass:
     """Decompose a closure into split pieces and prime connected-sum factors.
 
-    Unused strands become unknot pieces; connected pieces are reduced by
-    destabilisation and rules A/B, with the bounded rewrite search
-    exposing reductions that need moves first.  Surviving words are the
-    prime factors.  ``verified`` is False iff some search ran out of
-    budget, i.e. a factor reported prime might still reduce.
+    Unused strands become unknot pieces; each connected piece is reduced
+    by ``immediate_reduction`` until nothing fires, and the surviving
+    words are the prime factors.  Each step costs ``O(strands * len)``.
+    ``verified`` is always True: by Cromwell's theorem (see the module
+    docstring) a word on which no reduction fires closes to a prime link.
     """
-    b = _Budget(budget)
-    verified = True
     pieces: list[SplitPiece] = []
     for piece in split_pieces(w):
         factors: list[BraidWord] = []
@@ -517,20 +487,14 @@ def decompose(w: BraidWord, budget: int = DEFAULT_BUDGET) -> LinkClass:
             strands, letters = work.pop()
             if strands == 1:
                 continue  # fully destabilised: an unknot summand is trivial
-            r = _find_reduction(strands, letters, b)
-            if r is _PRIME:
+            r = immediate_reduction(strands, letters)
+            if r is None:
                 factors.append(BraidWord(strands, letters))
-            elif r is _EXHAUSTED:
-                factors.append(BraidWord(strands, letters))
-                verified = False
-            elif r[0] == "destab":
-                work.append(r[1])
             else:
-                work.append(r[1])
-                work.append(r[2])
+                work.extend(r[1:])
         factors.sort(key=lambda f: (f.strands, f.letters))
         if factors:
             pieces.append(SplitPiece(tuple(factors)))
         else:
             pieces.append(SplitPiece((), unknot=True))
-    return LinkClass(tuple(pieces), closure_components(w), verified)
+    return LinkClass(tuple(pieces), closure_components(w), True)

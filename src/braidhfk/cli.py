@@ -33,7 +33,7 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 def _cmd_info(args) -> int:
     w = _word(args.word)
-    lc = decompose(w, args.budget)
+    lc = decompose(w)
     graph = from_braid(w)
     chi, g = euler_and_genus(graph, lc.components)
     fib = fibered_positive(graph)
@@ -97,7 +97,7 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_hfk(args) -> int:
     w = _word(args.word)
-    lc = decompose(w, args.budget)
+    lc = decompose(w)
     _, g = euler_and_genus(from_braid(w), lc.components)
     top = predicted_top(lc.split_count, g)
     formula = predicted_next_to_top(lc.prime_count, lc.split_count, lc.components, g)
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="rewrite-search budget (visited words)")
+                       help="doubled-crossing search budget (visited words)")
 
     p = sub.add_parser("info", help="components, split/prime factors, genus")
     p.add_argument("word")

@@ -266,7 +266,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     checks: dict[str, bool] = {}
     notes: list[str] = []
 
-    lc = decompose(w, budget)
+    lc = decompose(w)
     components = lc.components
     s, p = lc.split_count, lc.prime_count
     graph = from_braid(w)
@@ -323,8 +323,10 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     second: Optional[int] = None
     expected_second: Optional[int] = None
-    if s == 1 and skein_poly is not None:
-        second = skein_poly.coefficient(g - 1)
+    # Burau stands in past the skein route's reach, so p is still checked
+    euler_poly = skein_poly if skein_poly is not None else burau_poly
+    if s == 1 and euler_poly is not None:
+        second = euler_poly.coefficient(g - 1)
         expected_second = -(p + components - s)
         checks["second_coefficient"] = second == expected_second
         if g >= 1:

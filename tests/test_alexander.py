@@ -279,14 +279,12 @@ class TestSecondCoefficient:
             assert second_coefficient(w) == expected
 
     def test_engine_failure_surfaces(self):
-        from braidhfk import alexander, braidword
+        from braidhfk import alexander
 
-        braidword.clear_caches()
         alexander.clear_caches()
         # prime word needing a braid move; budget 1 exhausts instantly
         with pytest.raises(EngineFailure):
             conway(BraidWord(3, (1, 2, 1, 2, 1, 2)), budget=1)
-        braidword.clear_caches()
         alexander.clear_caches()
 
 
@@ -302,11 +300,14 @@ class TestEngineIndependence:
         ids=["T(4,5)", "T(2,3)#T(3,4)", "T(2,3)+T(2,2)", "10_139"],
     )
     def test_skein_never_runs_the_orbit_search(self, w, monkeypatch):
+        # the skein route may take immediate_reduction's cuts, which Burau
+        # checks through the product, but it must not call decompose
         from braidhfk import alexander, braidword
 
         def forbidden(*args):
-            raise AssertionError("skein engine ran the decompose orbit search")
+            raise AssertionError("skein engine called decompose")
 
         alexander.clear_caches()
-        monkeypatch.setattr(braidword, "_find_reduction", forbidden)
+        monkeypatch.setattr(braidword, "decompose", forbidden)
+        monkeypatch.setattr(alexander, "decompose", forbidden, raising=False)
         assert hfk_euler(w) == alexander_burau(w)

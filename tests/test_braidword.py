@@ -1,8 +1,12 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidhfk.braidword import (
+    DEFAULT_BUDGET,
     MAX_LETTERS,
     MAX_STRANDS,
     BraidWord,
@@ -19,7 +23,40 @@ from braidhfk.braidword import (
     resolve_square,
     split_pieces,
 )
-from braidhfk.alexander import conway
+from braidhfk.alexander import alexander_burau, conway
+from braidhfk.harness import connected_sum
+from decompose_oracle import decompose_by_search
+
+
+@st.composite
+def summands(draw):
+    n = draw(st.integers(2, 4))
+    return BraidWord(n, tuple(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=7))))
+
+
+def scrambled(w, rng, moves=80):
+    """``w`` after random rotations, far commutations and braid relations,
+    six in ten of them braid relations where one applies."""
+    u = list(w.letters)
+    for _ in range(moves):
+        n = len(u)
+        if n < 2:
+            break
+        if rng.random() < 0.6:
+            sites = [j for j in range(n - 2) if u[j] == u[j + 2] and abs(u[j] - u[j + 1]) == 1]
+            if sites:
+                j = rng.choice(sites)
+                u[j:j + 3] = [u[j + 1], u[j], u[j + 1]]
+                continue
+        if rng.random() < 0.5:
+            k = rng.randrange(n)
+            u = u[k:] + u[:k]
+        else:
+            sites = [j for j in range(n - 1) if abs(u[j] - u[j + 1]) >= 2]
+            if sites:
+                j = rng.choice(sites)
+                u[j], u[j + 1] = u[j + 1], u[j]
+    return BraidWord(w.strands, tuple(u))
 
 
 def cycle_count_oracle(strands, letters):
@@ -201,11 +238,15 @@ class TestDecompose:
         assert all(p.unknot for p in lc.pieces)
 
     def test_destabilization_chain(self):
-        # s1 s2 s1 s2 closes to the trefoil; a braid move exposes the
-        # destabilization and the reduced factor is s1^3
+        # s1 s2 s1 s2 closes to the trefoil.  No reduction fires on it, so
+        # it is its own prime factor; the orbit search instead finds a
+        # braid move exposing the destabilization, down to s1^3
         lc = decompose(BraidWord(3, (1, 2, 1, 2)))
         assert lc.split_count == 1
-        assert [f.letters for f in lc.prime_words] == [(1, 1, 1)]
+        assert lc.prime_count == 1
+        assert alexander_burau(lc.prime_words[0]) == alexander_burau(BraidWord(2, (1, 1, 1)))
+        searched = decompose_by_search(BraidWord(3, (1, 2, 1, 2)), DEFAULT_BUDGET)
+        assert [f.letters for f in searched.prime_words] == [(1, 1, 1)]
 
     def test_idempotent_on_prime_words(self):
         for letters in [(1, 1, 2, 3, 3), (1, 1, 1, 2, 2, 2), (1, 2, 1, 2, 1, 2)]:
@@ -226,22 +267,28 @@ class TestDecompose:
 
     def test_verified_flag_drops_on_tiny_budget(self):
         # (s1 s2)^3 is prime; with a one-word budget the orbit search cannot
-        # finish, so the result must be flagged rather than trusted
-        from braidhfk import braidword
-        braidword.clear_caches()
-        lc = decompose(BraidWord(3, (1, 2, 1, 2, 1, 2)), budget=1)
+        # finish, so its result must be flagged rather than trusted
+        lc = decompose_by_search(BraidWord(3, (1, 2, 1, 2, 1, 2)), 1)
         assert not lc.verified
-        braidword.clear_caches()
 
     def test_budget_that_covers_the_orbit_exactly_verifies(self):
         # the orbit of (s1 s2)^3 has 8 words: a search runs out only when a
         # word is still waiting, so a budget of 8 finishes and 7 does not
-        from braidhfk import braidword
         w = BraidWord(3, (1, 2, 1, 2, 1, 2))
         for budget, verified in [(8, True), (7, False)]:
-            braidword.clear_caches()
-            assert decompose(w, budget=budget).verified is verified
-        braidword.clear_caches()
+            assert decompose_by_search(w, budget).verified is verified
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(summands(), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_orbit_search(self, parts, seed):
+        # a connected sum hidden by rotations, commutations and braid
+        # relations: the rules read off the word must find the same
+        # split and prime counts as the search over every move
+        w = scrambled(reduce(connected_sum, parts), random.Random(seed))
+        searched = decompose_by_search(w, 20_000)
+        if searched.verified:
+            lc = decompose(w)
+            assert (lc.split_count, lc.prime_count) == (searched.split_count, searched.prime_count)
 
     def test_orbit_spends_one_unit_per_word(self):
         from braidhfk.braidword import _ALL_MOVES, _Budget, _orbit

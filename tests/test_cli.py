@@ -37,6 +37,12 @@ class TestAlexander:
         assert payload["agree"] is True
         assert payload["euler"]["skein"] == payload["euler"]["burau"]
 
+    def test_skein_deeper_than_the_recursion_limit(self, capsys):
+        code, out, _ = run(capsys, "alexander", "--method", "skein", "1^2100", "--json")
+        assert code == 0
+        code, burau, _ = run(capsys, "alexander", "--method", "burau", "1^2100", "--json")
+        assert json.loads(out)["euler"]["skein"] == json.loads(burau)["euler"]["burau"]
+
     def test_kauffman_only_on_knots(self, capsys):
         code, _, err = run(capsys, "alexander", "1 1", "--method", "kauffman")
         assert code == 2

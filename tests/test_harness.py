@@ -120,6 +120,25 @@ class TestVerify:
         assert r.skein_euler is not None and not r.skein_euler
         assert "split_vanishing" in r.checks
 
+    @pytest.mark.parametrize("p, q", [(4, 5), (4, 6), (5, 4)])
+    def test_torus_words_with_large_orbits_pass(self, p, q):
+        r = verify(torus(p, q))
+        assert r.overall_pass, [k for k, v in r.checks.items() if not v]
+        assert r.prime_count == 1
+
+    def test_second_coefficient_reads_burau_without_skein(self, monkeypatch):
+        from braidhfk import harness
+        from braidhfk.alexander import EngineFailure
+
+        def failing(*args):
+            raise EngineFailure("skein route unavailable")
+
+        monkeypatch.setattr(harness, "hfk_euler", failing)
+        r = verify(BraidWord(3, (1, 1, 2, 2, 2, 1, 2, 2, 2, 2)))
+        assert r.skein_euler is None
+        assert r.second_coefficient == r.expected_second == -1
+        assert r.checks["second_coefficient"] is True
+
     def test_reports_deterministic(self):
         words = corpus(3, 5)
         first = reports_to_json(verify_all(words))

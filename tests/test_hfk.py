@@ -175,13 +175,11 @@ class TestSkeinRecursion:
         assert next_to_top_via_skein(t2(1101)) == predicted_next_to_top(1, 1, 1, 550)
 
     def test_unverifiable_on_tiny_budget(self):
-        from braidhfk import braidword, hfk
+        from braidhfk import hfk
 
-        braidword.clear_caches()
         hfk.clear_caches()
         with pytest.raises(UnverifiableError):
             next_to_top_via_skein(BraidWord(3, (1, 2, 1, 2, 1, 2)), budget=1)
-        braidword.clear_caches()
         hfk.clear_caches()
 
 
@@ -209,7 +207,7 @@ class TestDecompositionIndependence:
         def forbidden(*args):
             raise AssertionError("skein recursion ran a decompose reduction")
 
-        for name in ("_find_reduction", "immediate_reduction"):
+        for name in ("decompose", "immediate_reduction"):
             monkeypatch.setattr(braidword, name, forbidden)
             monkeypatch.setattr(hfk, name, forbidden, raising=False)
         hfk.clear_caches()
