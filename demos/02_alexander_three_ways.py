@@ -12,7 +12,6 @@ from braidhfk import (
     build_diagram,
     closure_components,
     conway,
-    enumerate_states,
     figure3,
     hfk_euler,
     HalfLaurent,
@@ -22,10 +21,9 @@ from braidhfk import (
 
 
 def kauffman_poly(w):
-    states = enumerate_states(build_diagram(w))
     return HalfLaurent.from_pairs(
         (2 * a, n if m % 2 == 0 else -n)
-        for (m, a), n in bigraded_counts(states).items()
+        for (m, a), n in bigraded_counts(build_diagram(w)).items()
     )
 
 

@@ -74,8 +74,8 @@ def _cmd_alexander(args) -> int:
             values[method] = alexander_burau(w)
         else:
             try:
-                states = enumerate_states(build_diagram(w))
-                values[method] = BigradedRank(bigraded_counts(states)).signed_euler()
+                counts = bigraded_counts(build_diagram(w), args.budget)
+                values[method] = BigradedRank(counts).signed_euler()
             except ValueError as exc:
                 if args.method == "kauffman":
                     print(f"error: {exc}", file=sys.stderr)
@@ -126,11 +126,11 @@ def _cmd_hfk(args) -> int:
 def _cmd_states(args) -> int:
     w = _word(args.word)
     d = build_diagram(w)
-    states = enumerate_states(d)
-    counts = bigraded_counts(states)
+    counts = bigraded_counts(d, args.budget)
     if args.json:
         print(json.dumps({"word": w.to_json(), "histogram": counts_to_json(counts)}, sort_keys=True))
     else:
+        states = enumerate_states(d)
         for s in states:
             print(state_line(d, s))
         print(f"{len(states)} states; histogram {counts_to_json(counts)}")
@@ -198,7 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="doubled-crossing search budget (visited words)")
+                       help="doubled-crossing search budget (visited words); "
+                            "also caps the Kauffman state table (live entries)")
 
     p = sub.add_parser("info", help="components, split/prime factors, genus")
     p.add_argument("word")

@@ -22,6 +22,20 @@ Weights of a positive crossing (Alexander stored doubled): OUT +1/2,
 IN -1/2, LEFT = RIGHT = 0; Maslov -1 on IN, 0 elsewhere.  The signed
 count ``sum (-1)^M t^A`` over all states recovers the graded Euler
 characteristic, making this the third, combinatorial, engine.
+
+``bigraded_counts`` builds the (Maslov, Alexander) histogram without
+listing a single state, by a sweep over the crossings in word order
+(the bordered picture of Ozsvath-Szabo, "Kauffman states, bordered
+algebras, and a bigraded knot invariant", Adv. Math. 2018).  A partial
+state is summarised by the set of still-open regions it has used; the
+table maps that bitmask to a histogram of partial bigradings.  After the
+last crossing that touches a region, entries that left it unused are
+dropped and its bit is cleared, so only the inner disk, the open gap of
+each column and the gaps wrapping past the end of the word are ever
+live: at most about ``2^(2n)`` masks on ``n`` strands.  The table's
+entry count is capped by a budget, past which ``KauffmanBudgetError``
+is raised.  ``enumerate_states`` lists the states themselves, by
+backtracking; it serves the ``states`` text listing and the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left
 
-from .braidword import BraidWord, closure_components
+from .braidword import BraidWord, DEFAULT_BUDGET, closure_components
 
 OUT = "OUT"
 IN = "IN"
@@ -48,6 +62,10 @@ class MultiComponentError(ValueError):
 
 class SplitDiagramError(ValueError):
     """The closed diagram is disconnected (some generator never occurs)."""
+
+
+class KauffmanBudgetError(RuntimeError):
+    """The sweep's live table outgrew its budget."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,12 +192,54 @@ def enumerate_states(d: ClosedBraidDiagram) -> list[KauffmanState]:
     return states
 
 
-def bigraded_counts(states: list[KauffmanState]) -> dict[tuple[int, int], int]:
-    """Histogram of state bigradings (Maslov, Alexander) -> count."""
+def bigraded_counts(
+    d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
+) -> dict[tuple[int, int], int]:
+    """Histogram of state bigradings (Maslov, Alexander) -> count, by the
+    frontier sweep of the module docstring.
+
+    Raises ``KauffmanBudgetError`` once the live table holds more than
+    ``budget`` (mask, bigrading) entries.
+    """
+    allowed = [[(r, q) for q, r in s if r not in d.forbidden] for s in d.slots]
+    last_touch: dict[int, int] = {}
+    for p, slots in enumerate(allowed):
+        for r, _ in slots:
+            last_touch[r] = p
+    if len(last_touch) < d.region_count - len(d.forbidden):
+        return {}  # some usable region touches no allowed slot
+    retiring = [0] * d.crossing_count
+    for r, p in last_touch.items():
+        retiring[p] |= 1 << r
+
+    table: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    for p, slots in enumerate(allowed):
+        done = retiring[p]
+        moves = [(1 << r, M_WEIGHTS[q], A_WEIGHTS_DOUBLED[q]) for r, q in slots]
+        nxt: dict[int, dict[tuple[int, int], int]] = {}
+        for mask, hist in table.items():
+            for bit, dm, da in moves:
+                if mask & bit:
+                    continue
+                after = mask | bit
+                if after & done != done:
+                    continue
+                out = nxt.setdefault(after ^ done, {})
+                for (m, a2), n in hist.items():
+                    key = (m + dm, a2 + da)
+                    out[key] = out.get(key, 0) + n
+        table = nxt
+        live = sum(map(len, table.values()))
+        if live > budget:
+            raise KauffmanBudgetError(
+                f"state table reached {live} entries at crossing {p + 1}"
+                f" of {d.crossing_count} (budget {budget})"
+            )
+
     counts: dict[tuple[int, int], int] = {}
-    for s in states:
-        key = (s.maslov, s.alexander)
-        counts[key] = counts.get(key, 0) + 1
+    for (m, a2), n in table.get(0, {}).items():
+        assert a2 % 2 == 0, "knot states have integral Alexander grading"
+        counts[(m, a2 // 2)] = n
     return counts
 
 

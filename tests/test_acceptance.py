@@ -17,7 +17,7 @@ from braidhfk.braidword import (
 )
 from braidhfk.harness import corpus, figure3, reports_to_json, torus, verify_all
 from braidhfk.hfk import BigradedRank, J, rn_next_to_top
-from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
+from braidhfk.kauffman import bigraded_counts, build_diagram
 
 
 def _announce(num: int, ok: bool, detail: str) -> None:
@@ -89,7 +89,7 @@ def test_criterion_3_second_coefficient(timed_reports):
 
 
 def test_criterion_4_state_histogram():
-    counts = bigraded_counts(enumerate_states(build_diagram(figure3())))
+    counts = bigraded_counts(build_diagram(figure3()))
     next_band = {(m, a): c for (m, a), c in counts.items() if a == 3}
     ok = (
         counts.get((0, 4)) == 1

@@ -68,6 +68,16 @@ class TestStates:
         assert code == 0
         assert payload["histogram"] == {"-2,-1": 1, "-1,0": 1, "0,1": 1}
 
+    def test_long_two_strand_histogram(self, capsys):
+        code, out, _ = run(capsys, "states", "1^901", "--json")
+        assert code == 0
+        assert sum(json.loads(out)["histogram"].values()) == 901
+
+    def test_budget_caps_the_state_table(self, capsys):
+        code, _, err = run(capsys, "states", "1 2 3 1 2 3 1 2 3", "--json", "--budget", "2")
+        assert code == 2
+        assert "budget 2" in err
+
 
 class TestVerify:
     def test_pass_exit_code(self, capsys):

@@ -12,6 +12,7 @@ from braidhfk.harness import (
     corpus,
     disjoint_union,
     family,
+    figure3,
     read_corpus_lines,
     reports_to_json,
     t2,
@@ -120,11 +121,32 @@ class TestVerify:
         assert r.skein_euler is not None and not r.skein_euler
         assert "split_vanishing" in r.checks
 
-    @pytest.mark.parametrize("p, q", [(4, 5), (4, 6), (5, 4)])
+    # (4, 5), (4, 6), (5, 4) have large move orbits; (2, 901), (3, 13) and
+    # (4, 9) have 901, 271,441 and 632,025 Kauffman states
+    @pytest.mark.parametrize("p, q", [(4, 5), (4, 6), (5, 4), (2, 901), (3, 13), (4, 9)])
     def test_torus_words_with_large_orbits_pass(self, p, q):
         r = verify(torus(p, q))
         assert r.overall_pass, [k for k, v in r.checks.items() if not v]
         assert r.prime_count == 1
+
+    def test_kauffman_never_lists_states(self, monkeypatch):
+        from braidhfk import harness, kauffman
+
+        def listing(*args):
+            raise AssertionError("verify listed Kauffman states")
+
+        monkeypatch.setattr(kauffman, "enumerate_states", listing)
+        monkeypatch.setattr(harness, "enumerate_states", listing)
+        r = verify(figure3())
+        assert r.overall_pass
+        assert r.kauffman_euler == r.skein_euler
+
+    def test_kauffman_budget_fails_its_checks_with_a_note(self):
+        r = verify(torus(4, 9), budget=100)
+        kauffman_checks = ("kauffman_matches", "kauffman_top_state_unique", "kauffman_maslov_band")
+        assert [r.checks[name] for name in kauffman_checks] == [False, False, False]
+        assert r.kauffman_euler is None
+        assert any(note.startswith("kauffman engine: ") for note in r.notes)
 
     def test_second_coefficient_reads_burau_without_skein(self, monkeypatch):
         from braidhfk import harness

@@ -1,14 +1,19 @@
+import dataclasses
 import random
+from collections import Counter
+from functools import reduce
 from itertools import permutations
+from math import prod
 
 import pytest
 
 from braidhfk.alexander import hfk_euler
 from braidhfk.braidword import BraidWord, closure_components, closure_genus
-from braidhfk.harness import figure3, torus
+from braidhfk.harness import connected_sum, corpus, figure3, t2, torus
 from braidhfk.kauffman import (
     A_WEIGHTS_DOUBLED,
     M_WEIGHTS,
+    KauffmanBudgetError,
     MultiComponentError,
     SplitDiagramError,
     bigraded_counts,
@@ -97,7 +102,7 @@ class TestEnumerateStates:
         assert [(s.maslov, s.alexander) for s in states] == [(0, 0)]
 
     def test_figure3_cited_states(self):
-        counts = bigraded_counts(enumerate_states(build_diagram(figure3())))
+        counts = bigraded_counts(build_diagram(figure3()))
         assert counts[(0, 4)] == 1
         assert counts[(-1, 3)] >= 2
         assert counts[(0, 3)] >= 1
@@ -120,6 +125,46 @@ class TestEnumerateStates:
             assert fast == brute_force_states(d)
 
 
+def listed_counts(d):
+    """Oracle: the histogram of the enumerated states."""
+    return dict(Counter((s.maslov, s.alexander) for s in enumerate_states(d)))
+
+
+class TestSweep:
+    def test_matches_enumeration_on_corpus(self):
+        knots = [
+            w for w in corpus(4, 8)
+            if w.is_connected and closure_components(w) == 1
+        ]
+        assert len(knots) > 50
+        for w in knots:
+            d = build_diagram(w)
+            assert bigraded_counts(d) == listed_counts(d), w
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 11, 101, 901])
+    def test_two_strand_totals(self, n):
+        assert sum(bigraded_counts(build_diagram(t2(n))).values()) == n
+
+    @pytest.mark.parametrize("exps", [(3, 3), (3, 5, 7), (7, 3, 5, 3, 5), (11, 9, 7, 5, 3)])
+    def test_connected_sum_totals(self, exps):
+        w = reduce(connected_sum, [t2(e) for e in exps])
+        assert sum(bigraded_counts(build_diagram(w)).values()) == prod(exps)
+
+    def test_unreachable_region_means_no_states(self):
+        d = build_diagram(BraidWord(2, (1, 1, 1)))
+        gap = d.slots[0][0][1]
+        cut = tuple(tuple((q, r) for q, r in s if r != gap) for s in d.slots)
+        d = dataclasses.replace(d, slots=cut)
+        assert listed_counts(d) == {}
+        assert bigraded_counts(d) == {}
+
+    def test_budget_caps_the_live_table(self):
+        d = build_diagram(torus(4, 9))
+        with pytest.raises(KauffmanBudgetError, match="budget 100"):
+            bigraded_counts(d, budget=100)
+        assert sum(bigraded_counts(d).values()) == 632025
+
+
 class TestWeightCalibration:
     def test_euler_identity_on_random_knots(self):
         rng = random.Random(13)
@@ -137,14 +182,14 @@ class TestWeightCalibration:
     def test_unique_top_state_at_maslov_zero(self):
         for w in [torus(2, 3), torus(2, 7), torus(3, 4), figure3()]:
             g = closure_genus(w)
-            counts = bigraded_counts(enumerate_states(build_diagram(w)))
+            counts = bigraded_counts(build_diagram(w))
             top = {(m, a): c for (m, a), c in counts.items() if a == g}
             assert top == {(0, g): 1}
 
     def test_next_to_top_band(self):
         for w in [torus(2, 5), torus(3, 4), torus(3, 5), figure3()]:
             g = closure_genus(w)
-            counts = bigraded_counts(enumerate_states(build_diagram(w)))
+            counts = bigraded_counts(build_diagram(w))
             assert all(
                 m in (0, -1) for (m, a) in counts if a == g - 1
             )
@@ -167,7 +212,7 @@ class TestOutput:
         assert state_line(d, state) == "c1:(inner,LEFT) | M=0, A=0"
 
     def test_histogram_json(self):
-        counts = bigraded_counts(enumerate_states(build_diagram(BraidWord(2, (1, 1, 1)))))
+        counts = bigraded_counts(build_diagram(BraidWord(2, (1, 1, 1))))
         assert counts_to_json(counts) == {"-2,-1": 1, "-1,0": 1, "0,1": 1}
 
     def test_deterministic_order(self):
