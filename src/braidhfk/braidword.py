@@ -48,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from collections import deque
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 #: Default cap on the number of words visited by any single rewrite search.
 DEFAULT_BUDGET = 200_000
@@ -230,31 +230,35 @@ def _braid_moves(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 _ALL_MOVES = (_shuffles, _braid_moves)
 
 
-def _orbit(u: tuple[int, ...], moves, budget: Optional[_Budget] = None) -> Iterator[tuple[int, ...]]:
+def _orbit(
+    u: tuple[int, ...], moves, budget: Optional[_Budget] = None
+) -> Iterator[tuple[tuple[int, ...], Optional[Callable]]]:
     """The words reachable from ``u`` by ``moves``, breadth first, ``u`` first.
 
-    Each word yielded spends one unit of ``budget``.  When a word is still
-    waiting but the budget is spent, the walk stops and sets
-    ``budget.exhausted``; a walk that empties its queue leaves it False.
+    Each word comes paired with the move family (a member of ``moves``)
+    that first reached it, or ``None`` for ``u`` itself.  Each word
+    yielded spends one unit of ``budget``.  When a word is still waiting
+    but the budget is spent, the walk stops and sets ``budget.exhausted``;
+    a walk that empties its queue leaves it False.
     """
     seen = {u}
-    queue = deque([u])
+    queue = deque([(u, None)])
     while queue:
-        v = queue.popleft()
+        v, via = queue.popleft()
         if budget is not None and not budget.spend():
             return
-        yield v
+        yield v, via
         for move in moves:
             for nb in move(v):
                 if nb not in seen:
                     seen.add(nb)
-                    queue.append(nb)
+                    queue.append((nb, move))
 
 
 def word_class(w: BraidWord) -> Iterator[tuple[int, ...]]:
     """The letters of every word related to ``w`` by rotations and distant
     commutations, ``w`` first.  All of them close to the same link."""
-    return _orbit(w.letters, (_shuffles,))
+    return (v for v, _ in _orbit(w.letters, (_shuffles,)))
 
 
 def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
@@ -331,31 +335,26 @@ def resolve_square(w: BraidWord) -> SkeinTriple:
 
 
 def _adjacent_pair(u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """If some generator has two occurrences whose cyclic gap avoids the
-    indices ``i-1, i, i+1``, return the word rewritten as ``(i, i, ...)``.
+    """If two occurrences of some generator ``i`` are cyclically consecutive
+    among the letters ``i-1, i, i+1``, return the word rewritten as
+    ``(i, i, ...)``: the smallest such ``i``, at its first such occurrence.
 
-    Only the gap between cyclically consecutive occurrences can qualify,
-    and every letter in a clean gap commutes with ``s_i``, so the pair can
-    be rotated to the front and the gap commuted out of the way.
+    Every letter between the pair commutes with ``s_i``, so the pair can be
+    rotated to the front and the gap commuted out of the way.  Whether the
+    check hits is the same for every rotation and distant commutation of
+    ``u``.  A rotation only rotates the cyclic window of letters
+    ``i-1, i, i+1``.  A distant commutation swaps two adjacent letters; when
+    both lie in the window they are ``i-1`` and ``i+1``, so whether two
+    ``i`` are consecutive in the window never changes.
     """
     n = len(u)
-    positions: dict[int, list[int]] = {}
-    for p, x in enumerate(u):
-        positions.setdefault(x, []).append(p)
-    for i in sorted(positions):
-        occ = positions[i]
-        if len(occ) < 2:
-            continue
-        for j, p in enumerate(occ):
-            q = occ[(j + 1) % len(occ)]
-            gap_len = (q - p - 1) % n if p != q else -1
-            if gap_len < 0:
-                continue
-            gap = tuple(u[(p + 1 + t) % n] for t in range(gap_len))
-            if any(abs(x - i) <= 1 for x in gap):
-                continue
-            rest = tuple(u[(q + 1 + t) % n] for t in range((p - q - 1) % n))
-            return (i, i) + gap + rest
+    for i in sorted(set(u)):
+        window = [p for p, x in enumerate(u) if i - 1 <= x <= i + 1]
+        for p, q in zip(window, window[1:] + window[:1]):
+            if p != q and u[p] == i == u[q]:
+                r = u[p:] + u[:p]
+                k = (q - p) % n
+                return (i, i) + r[1:k] + r[k + 1:]
     return None
 
 
@@ -365,12 +364,24 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     Returns ``None`` when the closure is an unlink (genus 0, where no such
     doubled crossing can exist) or when the search budget is exhausted
     before one is found.
+
+    The search walks the whole move orbit breadth first and spends one
+    unit of ``budget`` per visited word, but checks only ``w`` and the
+    words first reached by a braid relation.  A word first reached by a
+    rotation or distant commutation is a shuffle of a word visited
+    earlier, whose check missed (the search would have stopped there), and
+    ``_adjacent_pair`` hits on a word exactly when it hits on its
+    shuffles.  So the first word in breadth-first order whose check hits
+    is never a skipped one, and the result is the one that checking every
+    word would return.
     """
     if not w.is_connected:
         raise ValueError("find_adjacent_square expects a connected word")
     if closure_genus(w) == 0:
         return None
-    for u in _orbit(w.letters, _ALL_MOVES, _Budget(budget)):
+    for u, via in _orbit(w.letters, _ALL_MOVES, _Budget(budget)):
+        if via is _shuffles:
+            continue
         hit = _adjacent_pair(u)
         if hit is not None:
             return BraidWord(w.strands, hit)

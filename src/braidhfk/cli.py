@@ -15,7 +15,14 @@ from . import harness
 from .alexander import alexander_burau, hfk_euler
 from .braidword import BraidWord, DEFAULT_BUDGET, decompose, parse_serialized
 from .hfk import BigradedRank, next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
-from .kauffman import bigraded_counts, build_diagram, counts_to_json, enumerate_states, state_line
+from .kauffman import (
+    KauffmanBudgetError,
+    bigraded_counts,
+    build_diagram,
+    counts_to_json,
+    enumerate_states,
+    state_line,
+)
 from .polynomials import HalfLaurent
 from .seifert import euler_and_genus, fibered_positive, from_braid
 
@@ -130,7 +137,11 @@ def _cmd_states(args) -> int:
     if args.json:
         print(json.dumps({"word": w.to_json(), "histogram": counts_to_json(counts)}, sort_keys=True))
     else:
-        states = enumerate_states(d)
+        try:
+            states = enumerate_states(d, args.budget)
+        except KauffmanBudgetError as exc:
+            print(f"kauffman engine: {exc}", file=sys.stderr)
+            return 2
         for s in states:
             print(state_line(d, s))
         print(f"{len(states)} states; histogram {counts_to_json(counts)}")
@@ -199,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="doubled-crossing search budget (visited words); "
-                            "also caps the Kauffman state table (live entries)")
+                            "also caps the Kauffman state table (live entries) "
+                            "and the states listing (backtracking nodes)")
 
     p = sub.add_parser("info", help="components, split/prime factors, genus")
     p.add_argument("word")

@@ -35,7 +35,8 @@ each column and the gaps wrapping past the end of the word are ever
 live: at most about ``2^(2n)`` masks on ``n`` strands.  The table's
 entry count is capped by a budget, past which ``KauffmanBudgetError``
 is raised.  ``enumerate_states`` lists the states themselves, by
-backtracking; it serves the ``states`` text listing and the tests.
+backtracking under a budget of search nodes; it serves the ``states``
+text listing and the tests.
 """
 
 from __future__ import annotations
@@ -155,8 +156,14 @@ def build_diagram(w: BraidWord) -> ClosedBraidDiagram:
     return ClosedBraidDiagram(w, tuple(names), forbidden, tuple(slots))
 
 
-def enumerate_states(d: ClosedBraidDiagram) -> list[KauffmanState]:
-    """All Kauffman states, by backtracking; sorted for reproducible output."""
+def enumerate_states(
+    d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
+) -> list[KauffmanState]:
+    """All Kauffman states, by backtracking; sorted for reproducible output.
+
+    Raises ``KauffmanBudgetError`` once the search has entered more than
+    ``budget`` backtracking nodes.
+    """
     c = d.crossing_count
     allowed = []
     for s in d.slots:
@@ -166,9 +173,15 @@ def enumerate_states(d: ClosedBraidDiagram) -> list[KauffmanState]:
     states: list[KauffmanState] = []
     chosen: dict[int, tuple[int, str]] = {}
     used = 0
+    nodes = 0
 
     def backtrack(depth: int) -> None:
-        nonlocal used
+        nonlocal used, nodes
+        nodes += 1
+        if nodes > budget:
+            raise KauffmanBudgetError(
+                f"state listing reached {nodes} backtracking nodes (budget {budget})"
+            )
         if depth == c:
             assignment = tuple(chosen[k] for k in range(c))
             m = sum(M_WEIGHTS[q] for _, q in assignment)

@@ -228,15 +228,19 @@ class ConwayPoly:
         return ConwayPoly((0,) + self._c)
 
     def to_half_laurent(self) -> HalfLaurent:
-        """Substitute ``z -> t^(1/2) - t^(-1/2)``."""
-        out = HalfLaurent.zero()
-        power = HalfLaurent.one()
-        h = HalfLaurent.half_difference()
-        for coeff in self._c:
-            if coeff:
-                out = out + (power * HalfLaurent({0: coeff}))
-            power = power * h
-        return out
+        """Substitute ``z -> t^(1/2) - t^(-1/2)``.
+
+        Horner's rule from the top coefficient down, over a dense list whose
+        entry ``j`` holds the coefficient of ``t^((j - m)/2)`` when the list
+        has ``2m + 1`` entries.
+        """
+        dense = [0]
+        for coeff in reversed(self._c):
+            # times t^(1/2) - t^(-1/2): entry j becomes dense[j-2] - dense[j]
+            dense = [a - b for a, b in zip([0, 0] + dense, dense + [0, 0])]
+            dense[len(dense) // 2] += coeff
+        m = len(dense) // 2
+        return HalfLaurent({j - m: c for j, c in enumerate(dense) if c})
 
     def __str__(self) -> str:
         if not self._c:

@@ -56,7 +56,7 @@ def decompose_by_search(w, budget):
             strands, letters = work.pop()
             if strands == 1:
                 continue
-            for v in _orbit(letters, _ALL_MOVES, b):
+            for v, _ in _orbit(letters, _ALL_MOVES, b):
                 r = reduction_as_written(strands, v)
                 if r is not None:
                     work.extend(r)

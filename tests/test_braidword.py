@@ -24,8 +24,9 @@ from braidhfk.braidword import (
     split_pieces,
 )
 from braidhfk.alexander import alexander_burau, conway
-from braidhfk.harness import connected_sum
+from braidhfk.harness import connected_sum, corpus, torus
 from decompose_oracle import decompose_by_search
+from square_oracle import square_by_checking_every_word
 
 
 @st.composite
@@ -278,7 +279,7 @@ class TestDecompose:
         for budget, verified in [(8, True), (7, False)]:
             assert decompose_by_search(w, budget).verified is verified
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.lists(summands(), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
     def test_agrees_with_the_orbit_search(self, parts, seed):
         # a connected sum hidden by rotations, commutations and braid
@@ -347,6 +348,17 @@ class TestFindAdjacentSquare:
             sq = find_adjacent_square(w)
             assert sq is not None
             assert conway(sq) == conway(w)
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 17, DEFAULT_BUDGET])
+    def test_same_square_as_checking_every_word(self, budget):
+        # the search checks only the start word and the words first reached
+        # by a braid relation; the first hit, and running out, must not move
+        words = [w for w in corpus(4, 8) if w.is_connected and closure_genus(w) > 0]
+        words += [torus(4, 5), torus(6, 3)]
+        found = [find_adjacent_square(w, budget) for w in words]
+        assert found == [square_by_checking_every_word(w, budget) for w in words]
+        if budget < DEFAULT_BUDGET:
+            assert None in found  # some searches run out of budget
 
 
 class TestResolveSquare:

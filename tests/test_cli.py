@@ -1,5 +1,7 @@
 import json
+import time
 
+from braidhfk.braidword import DEFAULT_BUDGET
 from braidhfk.cli import main
 
 
@@ -72,6 +74,25 @@ class TestStates:
         code, out, _ = run(capsys, "states", "1^901", "--json")
         assert code == 0
         assert sum(json.loads(out)["histogram"].values()) == 901
+
+    def test_listing(self, capsys):
+        code, out, _ = run(capsys, "states", "1 1 1")
+        assert code == 0
+        assert out == (
+            "c1:(inner,LEFT) c2:(c1.0,IN) c3:(c1.1,IN) | M=-2, A=-1\n"
+            "c1:(c1.0,OUT) c2:(inner,LEFT) c3:(c1.1,IN) | M=-1, A=0\n"
+            "c1:(c1.0,OUT) c2:(c1.1,OUT) c3:(inner,LEFT) | M=0, A=1\n"
+            "3 states; histogram {'-2,-1': 1, '-1,0': 1, '0,1': 1}\n"
+        )
+
+    def test_budget_caps_the_state_listing(self, capsys):
+        # 901 states, but the backtracking would take minutes to list them
+        start = time.perf_counter()
+        code, out, err = run(capsys, "states", "1^901")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kauffman engine:") and f"budget {DEFAULT_BUDGET}" in err
 
     def test_budget_caps_the_state_table(self, capsys):
         code, _, err = run(capsys, "states", "1 2 3 1 2 3 1 2 3", "--json", "--budget", "2")

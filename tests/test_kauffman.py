@@ -101,6 +101,13 @@ class TestEnumerateStates:
         states = enumerate_states(d)
         assert [(s.maslov, s.alexander) for s in states] == [(0, 0)]
 
+    def test_budget_counts_backtracking_nodes(self):
+        # the trefoil's listing enters 9 nodes: 9 finishes and 8 does not
+        d = build_diagram(BraidWord(2, (1, 1, 1)))
+        assert len(enumerate_states(d, budget=9)) == 3
+        with pytest.raises(KauffmanBudgetError, match="budget 8"):
+            enumerate_states(d, budget=8)
+
     def test_figure3_cited_states(self):
         counts = bigraded_counts(build_diagram(figure3()))
         assert counts[(0, 4)] == 1

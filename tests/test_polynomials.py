@@ -1,13 +1,28 @@
 import random
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidhfk.alexander import conway
+from braidhfk.harness import t2
 from braidhfk.polynomials import ConwayPoly, HalfLaurent
 
 
 def to_sympy(p: HalfLaurent):
     t = sympy.symbols("t", positive=True)
     return sum(c * t ** sympy.Rational(k, 2) for k, c in p.to_pairs()), t
+
+
+def substitution_by_powers(c: ConwayPoly) -> HalfLaurent:
+    """``z -> t^(1/2) - t^(-1/2)`` as the sum of each coefficient times its
+    power of ``t^(1/2) - t^(-1/2)``."""
+    out = HalfLaurent.zero()
+    power = HalfLaurent.one()
+    for coeff in c.coefficients:
+        out = out + power * HalfLaurent({0: coeff})
+        power = power * HalfLaurent.half_difference()
+    return out
 
 
 class TestHalfLaurent:
@@ -80,6 +95,17 @@ class TestConwayPoly:
             ours, _ = to_sympy(ConwayPoly(coeffs).to_half_laurent())
             theirs = sum(c * z ** k for k, c in enumerate(coeffs))
             assert sympy.simplify(ours - theirs) == 0
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=16))
+    def test_substitution_matches_the_power_sum(self, coeffs):
+        c = ConwayPoly(coeffs)
+        assert c.to_half_laurent() == substitution_by_powers(c)
+
+    def test_substitution_on_two_strand_torus_links(self):
+        for n in range(1, 302, 10):
+            c = conway(t2(n))
+            assert c.to_half_laurent() == substitution_by_powers(c)
 
     def test_str(self):
         assert str(ConwayPoly((0, 2, 0, 1))) == "z^3 + 2 z"
