@@ -120,6 +120,15 @@ class BraidWord:
         return {"strands": self.strands, "letters": list(self.letters)}
 
 
+def require_size(strands: int = 0, letters: int = 0) -> None:
+    """Reject a word on more than ``MAX_STRANDS`` strands or with more than
+    ``MAX_LETTERS`` letters; callers check before they build it."""
+    if strands > MAX_STRANDS:
+        raise RangeError(f"at most {MAX_STRANDS} strands are accepted, got {strands}")
+    if letters > MAX_LETTERS:
+        raise RangeError(f"words of more than {MAX_LETTERS} letters are not accepted")
+
+
 _TOKEN = re.compile(r"^(\d+)(?:\^(-?\d+))?$")
 
 
@@ -132,8 +141,8 @@ def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
     rejected.  Words longer than ``MAX_LETTERS`` or needing more than
     ``MAX_STRANDS`` strands raise ``RangeError`` before they are built.
     """
-    if strands is not None and strands > MAX_STRANDS:
-        raise RangeError(f"at most {MAX_STRANDS} strands are accepted, got {strands}")
+    if strands is not None:
+        require_size(strands=strands)
     tokens = [tok for tok in text.replace(",", " ").split() if tok]
     letters: list[int] = []
     for tok in tokens:
@@ -148,8 +157,7 @@ def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
             raise ParseError(f"power must be >= 1, got {tok!r}")
         if idx >= MAX_STRANDS:
             raise RangeError(f"generator {idx} needs more than {MAX_STRANDS} strands")
-        if len(letters) + power > MAX_LETTERS:
-            raise RangeError(f"words of more than {MAX_LETTERS} letters are not accepted")
+        require_size(letters=len(letters) + power)
         letters.extend([idx] * power)
     if strands is None:
         if not letters:

@@ -23,6 +23,7 @@ from .braidword import (
     DEFAULT_BUDGET,
     decompose,
     parse_serialized,
+    require_size,
     word_class,
 )
 from .hfk import (
@@ -54,6 +55,7 @@ def torus(p: int, q: int) -> BraidWord:
     """The (p, q) torus word ``(s_1 ... s_{p-1})^q`` on ``p`` strands."""
     if p < 1 or q < 0:
         raise BadParamsError(f"torus needs p >= 1 and q >= 0, got ({p}, {q})")
+    require_size(p, (p - 1) * q)
     return BraidWord(p, tuple(range(1, p)) * q)
 
 
@@ -61,6 +63,7 @@ def t2(k: int) -> BraidWord:
     """``s_1^k`` on two strands."""
     if k < 0:
         raise BadParamsError(f"t2 needs k >= 0, got {k}")
+    require_size(2, k)
     return BraidWord(2, (1,) * k)
 
 

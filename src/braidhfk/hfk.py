@@ -18,22 +18,30 @@ The next-to-top Alexander grading is computed two independent ways:
   crossings and walks the skein exact triangle, in which the map out of
   the top group of the resolved-to-negative term vanishes and the map
   into the oriented resolution's contribution is injective.  Each
-  resolution strictly drops the crossing count.
+  resolution strictly drops the crossing count.  For a connected
+  closure the walk carries one integer, the rank at
+  ``(M, A) = (-1, g-1)``: 0, 2 and 1 at the unknot, the Hopf link and
+  the trefoil, and each step adds 2 (the resolved generator occurs
+  exactly twice), 1 (the oriented resolution has fewer components) or
+  -1 (it has more).  Maslov 0 stays empty (see ``triangle_solve``).  A
+  split closure sums its pieces' ranks and tensors with
+  ``V^(x)(s-1)``.
 
-``rn_next_to_top`` runs the same triangle bookkeeping for the rings of
-``n`` linked unknots, whose clasp resolutions are a smaller ring and a
+``rn_next_to_top`` runs the same triangle step for the rings of ``n``
+linked unknots, whose clasp resolutions are a smaller ring and a
 connected sum of Hopf links.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from math import comb
 from typing import Mapping
 
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
+    MAX_STRANDS,
+    RangeError,
     SkeinTriple,
     closure_genus,
     find_adjacent_square,
@@ -85,10 +93,6 @@ class BigradedRank:
 
     def rank_at(self, m: int, a: int) -> int:
         return self._r.get((m, a), 0)
-
-    @property
-    def total_rank(self) -> int:
-        return sum(self._r.values())
 
     def __add__(self, other: "BigradedRank") -> "BigradedRank":
         out = dict(self._r)
@@ -177,93 +181,59 @@ def predicted_top(s: int, g: int) -> BigradedRank:
 # The skein exact triangle
 # --------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class TriangleInstance:
-    """One application of the skein sequence at the top two gradings.
+def triangle_solve(h_rank: int, minus_rank0: int = 1, minus_rank_neg1: int = 0) -> int:
+    """Rank of the unresolved closure at ``(M, A) = (-1, g-1)``.
 
     ``h_rank`` is the rank of the oriented resolution's contribution at
-    the relevant slot: its next-to-top rank at Maslov -1, plus 2 when the
+    that slot: its own next-to-top rank at Maslov -1, plus 2 when the
     resolution has fewer components (the Hopf pattern supplies an extra
-    ``F^2`` there).  ``zero_rank0`` is the resolution's next-to-top rank
-    at Maslov 0.  The ``minus_*`` fields are the resolved-to-negative
-    term's ranks at Maslov 0 and -1 in its top Alexander grading: (1, 0)
-    for a non-split word, (1, 1) for a two-piece disjoint union.
-    """
-
-    zero_has_more_components: bool
-    h_rank: int
-    zero_rank0: int
-    minus_rank0: int = 1
-    minus_rank_neg1: int = 0
-
-
-def triangle_solve(inst: TriangleInstance) -> tuple[int, int]:
-    """Ranks of the unresolved closure at ``(M, A) = (-1, g-1)`` and ``(0, g-1)``.
+    ``F^2`` there).  ``minus_rank0`` and ``minus_rank_neg1`` are the
+    resolved-to-negative term's ranks at Maslov 0 and -1 in its top
+    Alexander grading: (1, 0) for a non-split word, (1, 1) for a
+    two-piece disjoint union.
 
     The map into the resolved-to-negative top group vanishes and the map
-    out of it is injective, so the sequence pins the ranks: Maslov -1
-    gets ``h_rank - minus_rank0 + minus_rank_neg1`` and Maslov 0 is
-    inherited from the resolution's own next-to-top grading.
+    out of it is injective, so the sequence pins the rank at
+    ``h_rank - minus_rank0 + minus_rank_neg1``.  The rank at ``(0, g-1)``
+    would be inherited unchanged from the oriented resolution's own
+    ``(0, g-1)``; no base case (unknot, Hopf link, trefoil) has one, so
+    it is zero for every connected closure and is not carried.
     """
-    if inst.h_rank < inst.minus_rank0:
-        raise NegativeRankError(
-            f"injectivity violated: h={inst.h_rank} < {inst.minus_rank0}"
-        )
-    rank_neg1 = inst.h_rank - inst.minus_rank0 + inst.minus_rank_neg1
-    return rank_neg1, inst.zero_rank0
+    if h_rank < minus_rank0:
+        raise NegativeRankError(f"injectivity violated: h={h_rank} < {minus_rank0}")
+    return h_rank - minus_rank0 + minus_rank_neg1
 
 
 # --------------------------------------------------------------------------
 # The inductive computation
 # --------------------------------------------------------------------------
 
-_V_PROFILE = {0: 1, -1: 1}
-
-_profile_cache: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+_profile_cache: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
 def clear_caches() -> None:
     _profile_cache.clear()
 
 
-def _convolve(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for m1, v1 in p.items():
-        for m2, v2 in q.items():
-            out[m1 + m2] = out.get(m1 + m2, 0) + v1 * v2
-    return out
+def _connected_rank(u: BraidWord, budget: int) -> int:
+    """Rank of the next-to-top group of a connected closure at Maslov -1.
 
-
-def _split_profile(w: BraidWord, budget: int) -> dict[int, int]:
-    pieces = split_pieces(w)
-    total: dict[int, int] = {}
-    for piece in pieces:
-        for m, v in _connected_profile(piece, budget).items():
-            total[m] = total.get(m, 0) + v
-    for _ in range(len(pieces) - 1):
-        total = _convolve(total, _V_PROFILE)
-    return total
-
-
-def _connected_profile(u: BraidWord, budget: int) -> dict[int, int]:
-    """Maslov profile of the next-to-top grading of a connected closure.
-
-    Each triangle step needs the profile of its oriented resolution
+    Each triangle step needs the rank of its oriented resolution
     ``l_zero``, so the loop first walks down the chain of resolutions to
-    a word whose profile is known, then folds the steps back up.  The
-    chain is as long as the crossing count, which is why this is a loop
-    and not a recursion.
+    a word whose rank is known, then folds the steps back up.  The chain
+    is as long as the crossing count, which is why this is a loop and not
+    a recursion.
     """
     chain: list[tuple[tuple[int, tuple[int, ...]], SkeinTriple]] = []
     key = (u.strands, u.letters)
     while key not in _profile_cache:
         g = closure_genus(u)
         if g == 0:
-            _profile_cache[key] = {}
+            _profile_cache[key] = 0
         elif u.strands == 2 and u.letters == (1, 1):
-            _profile_cache[key] = {-1: 2}  # positive Hopf link
+            _profile_cache[key] = 2  # positive Hopf link
         elif u.strands == 2 and u.letters == (1, 1, 1):
-            _profile_cache[key] = {-1: 1}  # right-handed trefoil
+            _profile_cache[key] = 1  # right-handed trefoil
         else:
             sq = find_adjacent_square(u, budget)
             if sq is None:
@@ -276,37 +246,17 @@ def _connected_profile(u: BraidWord, budget: int) -> dict[int, int]:
             chain.append((key, triple))
             u = triple.l_zero
             key = (u.strands, u.letters)
-    result = _profile_cache[key]
+    rank = _profile_cache[key]
     for key, triple in reversed(chain):
-        r0_neg1 = result.get(-1, 0)
-        r0_zero = result.get(0, 0)
         i = triple.l_plus.letters[0]
-        count = triple.l_plus.letters.count(i)
-        fewer = triple.delta == 1
-        if count == 2:
+        if triple.l_plus.letters.count(i) == 2:
             # the resolved-to-negative word loses the generator entirely,
             # splitting into two pieces whose top contributes F[0] + F[-1]
-            inst = TriangleInstance(
-                zero_has_more_components=False,
-                h_rank=r0_neg1 + 2,
-                zero_rank0=r0_zero,
-                minus_rank0=1,
-                minus_rank_neg1=1,
-            )
+            rank = triangle_solve(rank + 2, minus_rank_neg1=1)
         else:
-            inst = TriangleInstance(
-                zero_has_more_components=not fewer,
-                h_rank=r0_neg1 + (2 if fewer else 0),
-                zero_rank0=r0_zero,
-            )
-        rank_neg1, rank_zero = triangle_solve(inst)
-        result = {}
-        if rank_neg1:
-            result[-1] = rank_neg1
-        if rank_zero:
-            result[0] = rank_zero
-        _profile_cache[key] = result
-    return result
+            rank = triangle_solve(rank + (2 if triple.delta == 1 else 0))
+        _profile_cache[key] = rank
+    return rank
 
 
 def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> BigradedRank:
@@ -323,8 +273,9 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     """
     require_budget(budget)
     g = closure_genus(w)
-    profile = _split_profile(w, budget)
-    return BigradedRank({(m, g - 1): v for m, v in profile.items()})
+    pieces = split_pieces(w)
+    rank = sum(_connected_rank(piece, budget) for piece in pieces)
+    return BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(len(pieces) - 1))
 
 
 # --------------------------------------------------------------------------
@@ -336,34 +287,21 @@ def rn_next_to_top(n: int, budget: int = DEFAULT_BUDGET) -> BigradedRank:
 
     Resolving one clasp gives the ring of ``n-1`` unknots and the chain of
     ``n-1`` Hopf links; the chain's ranks are tensor powers of the Hopf
-    pattern, and the two-ring base case is the (2,4) torus link.
+    pattern, and the two-ring base case is the (2,4) torus link.  Rings
+    on more than ``MAX_STRANDS`` unknots raise ``RangeError``.
     """
     if n < 3:
         raise ValueError(f"ring computation needs n >= 3, got {n}")
-    profile = dict(
-        next_to_top_via_skein(BraidWord(2, (1, 1, 1, 1)), budget).alexander_slice(1)
-    )
-    genus = 2  # two unknots clasped twice close to the (2,4) torus link
+    if n > MAX_STRANDS:
+        raise RangeError(f"rings of at most {MAX_STRANDS} unknots are accepted, got {n}")
+    # two unknots clasped twice close to the (2,4) torus link, of genus 1
+    rank = next_to_top_via_skein(BraidWord(2, (1, 1, 1, 1)), budget).rank_at(-1, 1)
+    hopf_chain = J
     for m in range(3, n + 1):
-        hopf_chain = J.tensor_power(m - 1)
-        top_a = m - 1
-        top_slice = hopf_chain.alexander_slice(top_a)
+        hopf_chain = hopf_chain.tensor(J)  # m-1 Hopf links
+        top_slice = hopf_chain.alexander_slice(m - 1)
         if top_slice != {0: 1}:
             raise NegativeRankError("Hopf chain top group is not F[0]")
-        genus += 1
-        if genus != m:  # one clasp resolution raises the genus by one
-            raise NegativeRankError("ring genus bookkeeping violated")
-        inst = TriangleInstance(
-            zero_has_more_components=False,  # the smaller ring has m-1 < m circles
-            h_rank=profile.get(-1, 0) + 2,
-            zero_rank0=profile.get(0, 0),
-            minus_rank0=top_slice[0],
-            minus_rank_neg1=top_slice.get(-1, 0),
-        )
-        rank_neg1, rank_zero = triangle_solve(inst)
-        profile = {}
-        if rank_neg1:
-            profile[-1] = rank_neg1
-        if rank_zero:
-            profile[0] = rank_zero
-    return BigradedRank({(m, n - 1): v for m, v in profile.items()})
+        # the smaller ring has m-1 < m circles, so l_zero has fewer components
+        rank = triangle_solve(rank + 2, top_slice[0], top_slice.get(-1, 0))
+    return BigradedRank({(-1, n - 1): rank})

@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left
 
-from .braidword import BraidWord, DEFAULT_BUDGET, closure_components
+from .braidword import BraidWord, DEFAULT_BUDGET, closure_components, require_budget
 
 OUT = "OUT"
 IN = "IN"
@@ -162,8 +162,11 @@ def enumerate_states(
     """All Kauffman states, by backtracking; sorted for reproducible output.
 
     Raises ``KauffmanBudgetError`` once the search has entered more than
-    ``budget`` backtracking nodes.
+    ``budget`` backtracking nodes.  The search keeps its own stack, so a
+    word with more crossings than the interpreter's recursion limit still
+    reaches the budget.
     """
+    require_budget(budget)
     c = d.crossing_count
     allowed = []
     for s in d.slots:
@@ -171,36 +174,37 @@ def enumerate_states(
     order = sorted(range(c), key=lambda k: (len(allowed[k]), k))
 
     states: list[KauffmanState] = []
-    chosen: dict[int, tuple[int, str]] = {}
+    chosen: list[tuple[int, str] | None] = [None] * c  # by crossing
+    tries = [0]  # next option to try at each open depth; the root is entered
     used = 0
-    nodes = 0
-
-    def backtrack(depth: int) -> None:
-        nonlocal used, nodes
-        nodes += 1
-        if nodes > budget:
-            raise KauffmanBudgetError(
-                f"state listing reached {nodes} backtracking nodes (budget {budget})"
-            )
+    nodes = 1
+    while tries:
+        depth = len(tries) - 1
         if depth == c:
-            assignment = tuple(chosen[k] for k in range(c))
+            assignment = tuple(chosen)
             m = sum(M_WEIGHTS[q] for _, q in assignment)
             a2 = sum(A_WEIGHTS_DOUBLED[q] for _, q in assignment)
             assert a2 % 2 == 0, "knot states have integral Alexander grading"
             states.append(KauffmanState(assignment, m, a2 // 2))
-            return
-        k = order[depth]
-        for region, quadrant in allowed[k]:
-            bit = 1 << region
-            if used & bit:
+        else:
+            options = allowed[order[depth]]
+            j = tries[depth]
+            while j < len(options) and used >> options[j][0] & 1:
+                j += 1
+            if j < len(options):
+                tries[depth] = j + 1
+                chosen[order[depth]] = options[j]
+                used |= 1 << options[j][0]
+                nodes += 1
+                if nodes > budget:
+                    raise KauffmanBudgetError(
+                        f"state listing reached {nodes} backtracking nodes (budget {budget})"
+                    )
+                tries.append(0)
                 continue
-            used |= bit
-            chosen[k] = (region, quadrant)
-            backtrack(depth + 1)
-            del chosen[k]
-            used &= ~bit
-
-    backtrack(0)
+        tries.pop()
+        if depth:
+            used &= ~(1 << chosen[order[depth - 1]][0])
     states.sort(key=lambda s: s.assignment)
     return states
 
@@ -214,6 +218,7 @@ def bigraded_counts(
     Raises ``KauffmanBudgetError`` once the live table holds more than
     ``budget`` (mask, bigrading) entries.
     """
+    require_budget(budget)
     allowed = [[(r, q) for q, r in s if r not in d.forbidden] for s in d.slots]
     last_touch: dict[int, int] = {}
     for p, slots in enumerate(allowed):

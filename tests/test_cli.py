@@ -94,6 +94,12 @@ class TestStates:
         assert out == ""
         assert err.startswith("kauffman engine:") and f"budget {DEFAULT_BUDGET}" in err
 
+    def test_listing_longer_than_the_recursion_limit(self, capsys):
+        code, out, err = run(capsys, "states", "1^1501")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kauffman engine:")
+
     def test_budget_caps_the_state_table(self, capsys):
         code, _, err = run(capsys, "states", "1 2 3 1 2 3 1 2 3", "--json", "--budget", "2")
         assert code == 2
@@ -144,6 +150,16 @@ class TestFamilyAndRings:
         code, out, _ = run(capsys, "family", "torus", "3", "4")
         assert code == 0
         assert out.strip() == "strands=3: 1 2 1 2 1 2 1 2"
+
+    def test_family_size_bounds(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "family", "torus", "2", "100000000")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == "" and "10000 letters" in err
+        code, out, _ = run(capsys, "family", "torus", "2", "10000")
+        assert code == 0
+        assert len(out.split()) == 1 + 10000
 
     def test_rn(self, capsys):
         code, out, _ = run(capsys, "rn", "5", "--json")

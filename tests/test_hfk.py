@@ -2,13 +2,19 @@ import random
 
 import pytest
 
-from braidhfk.braidword import BraidWord, closure_components, closure_genus, decompose
-from braidhfk.harness import connected_sum, disjoint_union, figure3, t2, torus
+from braidhfk.braidword import (
+    MAX_STRANDS,
+    BraidWord,
+    RangeError,
+    closure_components,
+    closure_genus,
+    decompose,
+)
+from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, t2, torus
 from braidhfk.hfk import (
     BigradedRank,
     J,
     NegativeRankError,
-    TriangleInstance,
     UnverifiableError,
     V,
     next_to_top_via_skein,
@@ -100,28 +106,22 @@ class TestTriangleSolve:
     def test_t24_from_trefoil(self):
         # resolving s1^4: the oriented resolution is the trefoil, which has
         # fewer components, so its contribution is 1 + 2 and the solve gives 2
-        inst = TriangleInstance(
-            zero_has_more_components=False, h_rank=3, zero_rank0=0
-        )
-        assert triangle_solve(inst) == (2, 0)
+        assert triangle_solve(3) == 2
 
     def test_trefoil_from_hopf(self):
-        inst = TriangleInstance(
-            zero_has_more_components=True, h_rank=2, zero_rank0=0
-        )
-        assert triangle_solve(inst) == (1, 0)
+        assert triangle_solve(2) == 1
 
     def test_maslov_zero_propagates(self):
-        inst = TriangleInstance(
-            zero_has_more_components=True, h_rank=5, zero_rank0=0
-        )
-        assert triangle_solve(inst)[1] == 0
+        # a triangle step would copy the rank at (0, g-1) through from the
+        # oriented resolution, and no base case has one, so none appears
+        for w in corpus(3, 8):
+            if w.is_connected:
+                g = closure_genus(w)
+                assert next_to_top_via_skein(w).rank_at(0, g - 1) == 0
 
     def test_injectivity_guard(self):
         with pytest.raises(NegativeRankError):
-            triangle_solve(
-                TriangleInstance(zero_has_more_components=True, h_rank=0, zero_rank0=0)
-            )
+            triangle_solve(0)
 
 
 class TestSkeinRecursion:
@@ -236,6 +236,10 @@ class TestRingLinks:
     def test_below_range(self):
         with pytest.raises(ValueError):
             rn_next_to_top(2)
+
+    def test_above_range(self):
+        with pytest.raises(RangeError):
+            rn_next_to_top(MAX_STRANDS + 1)
 
     def test_range_up_to_ten(self):
         for n in range(3, 11):

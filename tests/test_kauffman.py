@@ -108,6 +108,13 @@ class TestEnumerateStates:
         with pytest.raises(KauffmanBudgetError, match="budget 8"):
             enumerate_states(d, budget=8)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_non_positive_budget_rejected(self, budget):
+        d = build_diagram(BraidWord(2, (1, 1, 1)))
+        for engine in (enumerate_states, bigraded_counts):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                engine(d, budget)
+
     def test_figure3_cited_states(self):
         counts = bigraded_counts(build_diagram(figure3()))
         assert counts[(0, 4)] == 1

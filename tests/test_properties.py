@@ -1,6 +1,7 @@
 """Property tests: the Burau and skein engines see closures, not words,
-the doubled-crossing check sees rotation/commutation classes, and the
-Kauffman sweep counts what the enumerator lists.
+the doubled-crossing check sees rotation/commutation classes, the
+Kauffman sweep counts what the enumerator lists, and the engines obey the
+connected-sum and disjoint-union laws.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway`` and ``next_to_top_via_skein`` must not
@@ -13,10 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidhfk import alexander, hfk
-from braidhfk.alexander import alexander_burau, conway
-from braidhfk.braidword import BraidWord, _adjacent_pair, _shuffles, closure_components
-from braidhfk.hfk import next_to_top_via_skein
+from braidhfk.alexander import alexander_burau, conway, hfk_euler
+from braidhfk.braidword import (
+    BraidWord,
+    _adjacent_pair,
+    _shuffles,
+    closure_components,
+    closure_genus,
+)
+from braidhfk.harness import connected_sum, disjoint_union
+from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
 from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
+from braidhfk.polynomials import HalfLaurent
 
 PROPERTY = settings(max_examples=150)
 
@@ -127,3 +136,50 @@ def test_kauffman_sweep_counts_the_listed_states(w):
     d = build_diagram(w)
     listed = Counter((s.maslov, s.alexander) for s in enumerate_states(d))
     assert bigraded_counts(d) == dict(listed)
+
+
+@st.composite
+def connected_words(draw, max_strands=4, max_len=8):
+    """Every generator once, then more letters, in a drawn order: the
+    closure diagram is connected, so the closure is not split."""
+    n = draw(st.integers(2, max_strands))
+    extra = draw(st.lists(st.integers(1, n - 1), max_size=max_len - (n - 1)))
+    return BraidWord(n, tuple(draw(st.permutations(list(range(1, n)) + extra))))
+
+
+def next_to_top_rank(w):
+    """Rank of the skein next-to-top group of a non-split closure, all at
+    ``(M, A) = (-1, g-1)``."""
+    return next_to_top_via_skein(w).rank_at(-1, closure_genus(w) - 1)
+
+
+@PROPERTY
+@given(connected_words(), connected_words())
+def test_connected_sum_adds_next_to_top_ranks(a, b):
+    w = connected_sum(a, b)
+    g = closure_genus(w)
+    rank = next_to_top_rank(a) + next_to_top_rank(b)
+    assert next_to_top_via_skein(w) == BigradedRank({(-1, g - 1): rank})
+
+
+@PROPERTY
+@given(connected_words(), connected_words())
+def test_disjoint_union_tensors_next_to_top_with_v(a, b):
+    w = disjoint_union(a, b)
+    g = closure_genus(w)
+    rank = next_to_top_rank(a) + next_to_top_rank(b)
+    assert next_to_top_via_skein(w) == BigradedRank({(-1, g - 1): rank}).tensor(V)
+
+
+@PROPERTY
+@given(connected_words(), connected_words())
+def test_alexander_multiplies_under_connected_sum(a, b):
+    assert alexander_burau(connected_sum(a, b)) == alexander_burau(a) * alexander_burau(b)
+
+
+@PROPERTY
+@given(connected_words(), connected_words())
+def test_euler_vanishes_on_disjoint_union(a, b):
+    w = disjoint_union(a, b)
+    assert hfk_euler(w) == HalfLaurent.zero()
+    assert alexander_burau(w) == HalfLaurent.zero()
