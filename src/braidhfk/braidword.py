@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from collections import deque
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 #: Default cap on the number of words visited by any single rewrite search.
@@ -238,23 +239,18 @@ def _braid_moves(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 _ALL_MOVES = (_shuffles, _braid_moves)
 
 
-def _orbit(
-    u: tuple[int, ...], moves, budget: Optional[_Budget] = None
-) -> Iterator[tuple[tuple[int, ...], Optional[Callable]]]:
+def _orbit(u: tuple[int, ...], moves) -> Iterator[tuple[tuple[int, ...], Optional[Callable]]]:
     """The words reachable from ``u`` by ``moves``, breadth first, ``u`` first.
 
     Each word comes paired with the move family (a member of ``moves``)
-    that first reached it, or ``None`` for ``u`` itself.  Each word
-    yielded spends one unit of ``budget``.  When a word is still waiting
-    but the budget is spent, the walk stops and sets ``budget.exhausted``;
-    a walk that empties its queue leaves it False.
+    that first reached it, or ``None`` for ``u`` itself.  The walk is
+    lazy: a search that needs at most ``n`` words takes them with
+    ``itertools.islice``.
     """
     seen = {u}
     queue = deque([(u, None)])
     while queue:
         v, via = queue.popleft()
-        if budget is not None and not budget.spend():
-            return
         yield v, via
         for move in moves:
             for nb in move(v):
@@ -291,27 +287,6 @@ def require_budget(budget: int) -> None:
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-
-
-class _Budget:
-    """Mutable countdown of words a search may still visit.
-
-    ``exhausted`` turns True once a search asked for a word past the end.
-    """
-
-    __slots__ = ("remaining", "exhausted")
-
-    def __init__(self, remaining: int):
-        require_budget(remaining)
-        self.remaining = remaining
-        self.exhausted = False
-
-    def spend(self) -> bool:
-        if self.remaining <= 0:
-            self.exhausted = True
-            return False
-        self.remaining -= 1
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -370,12 +345,13 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     """Rewrite ``w`` into the form ``s_i s_i b`` without changing the closure.
 
     Returns ``None`` when the closure is an unlink (genus 0, where no such
-    doubled crossing can exist) or when the search budget is exhausted
-    before one is found.
+    doubled crossing can exist) or when the first ``budget`` words of the
+    move orbit hold none.  A non-positive ``budget`` raises ``ValueError``
+    once the word is known to have positive genus.
 
-    The search walks the whole move orbit breadth first and spends one
-    unit of ``budget`` per visited word, but checks only ``w`` and the
-    words first reached by a braid relation.  A word first reached by a
+    The search walks the move orbit breadth first and counts every visited
+    word against ``budget``, but checks only ``w`` and the words first
+    reached by a braid relation.  A word first reached by a
     rotation or distant commutation is a shuffle of a word visited
     earlier, whose check missed (the search would have stopped there), and
     ``_adjacent_pair`` hits on a word exactly when it hits on its
@@ -387,7 +363,8 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
         raise ValueError("find_adjacent_square expects a connected word")
     if closure_genus(w) == 0:
         return None
-    for u, via in _orbit(w.letters, _ALL_MOVES, _Budget(budget)):
+    require_budget(budget)
+    for u, via in islice(_orbit(w.letters, _ALL_MOVES), budget):
         if via is _shuffles:
             continue
         hit = _adjacent_pair(u)
@@ -401,36 +378,23 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
 # --------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class SplitPiece:
-    """One split factor: either a trivial unknot or a list of prime words."""
+class LinkClass:
+    """Normalised decomposition of a closure.
+
+    ``prime_words`` lists the prime connected-sum factors of the split
+    pieces in strand order, each piece's factors sorted by
+    ``(strands, letters)``; an unknot piece contributes none.
+    ``split_count`` counts the split pieces, unknots included.
+    """
 
     prime_words: tuple[BraidWord, ...]
-    unknot: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
-class LinkClass:
-    """Normalised decomposition of a closure into split pieces and primes."""
-
-    pieces: tuple[SplitPiece, ...]
+    split_count: int
     components: int
     verified: bool
 
     @property
-    def split_count(self) -> int:
-        return len(self.pieces)
-
-    @property
     def prime_count(self) -> int:
-        return sum(len(p.prime_words) for p in self.pieces)
-
-    @property
-    def is_split(self) -> bool:
-        return len(self.pieces) > 1
-
-    @property
-    def prime_words(self) -> tuple[BraidWord, ...]:
-        return tuple(w for p in self.pieces for w in p.prime_words)
+        return len(self.prime_words)
 
 
 def split_pieces(w: BraidWord) -> list[BraidWord]:
@@ -492,14 +456,16 @@ def immediate_reduction(strands: int, u: tuple[int, ...]):
 def decompose(w: BraidWord) -> LinkClass:
     """Decompose a closure into split pieces and prime connected-sum factors.
 
-    Unused strands become unknot pieces; each connected piece is reduced
-    by ``immediate_reduction`` until nothing fires, and the surviving
-    words are the prime factors.  Each step costs ``O(strands * len)``.
+    Unused strands become unknot pieces, which count in ``split_count``
+    but add no prime word.  Each connected piece is reduced by
+    ``immediate_reduction`` until nothing fires, and the surviving words
+    are the prime factors.  Each step costs ``O(strands * len)``.
     ``verified`` is always True: by Cromwell's theorem (see the module
     docstring) a word on which no reduction fires closes to a prime link.
     """
-    pieces: list[SplitPiece] = []
-    for piece in split_pieces(w):
+    pieces = split_pieces(w)
+    primes: list[BraidWord] = []
+    for piece in pieces:
         factors: list[BraidWord] = []
         work = [(piece.strands, piece.letters)]
         while work:
@@ -511,9 +477,5 @@ def decompose(w: BraidWord) -> LinkClass:
                 factors.append(BraidWord(strands, letters))
             else:
                 work.extend(r[1:])
-        factors.sort(key=lambda f: (f.strands, f.letters))
-        if factors:
-            pieces.append(SplitPiece(tuple(factors)))
-        else:
-            pieces.append(SplitPiece((), unknot=True))
-    return LinkClass(tuple(pieces), closure_components(w), True)
+        primes += sorted(factors, key=lambda f: (f.strands, f.letters))
+    return LinkClass(tuple(primes), len(pieces), closure_components(w), True)

@@ -75,6 +75,7 @@ def figure3() -> BraidWord:
 def connected_sum(w1: BraidWord, w2: BraidWord) -> BraidWord:
     """Stack ``w2`` on top of ``w1`` sharing one strand."""
     shift = w1.strands - 1
+    require_size(shift + w2.strands, len(w1) + len(w2))
     letters = w1.letters + tuple(x + shift for x in w2.letters)
     return BraidWord(w1.strands + w2.strands - 1, letters)
 
@@ -82,6 +83,7 @@ def connected_sum(w1: BraidWord, w2: BraidWord) -> BraidWord:
 def disjoint_union(w1: BraidWord, w2: BraidWord) -> BraidWord:
     """Place ``w2`` on fresh strands above ``w1``."""
     shift = w1.strands
+    require_size(shift + w2.strands, len(w1) + len(w2))
     letters = w1.letters + tuple(x + shift for x in w2.letters)
     return BraidWord(w1.strands + w2.strands, letters)
 

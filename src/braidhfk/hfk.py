@@ -114,10 +114,6 @@ class BigradedRank:
             acc = acc.tensor(self)
         return acc
 
-    def alexander_slice(self, a: int) -> dict[int, int]:
-        """Maslov profile at a fixed Alexander grading."""
-        return {m: v for (m, aa), v in self._r.items() if aa == a}
-
     def signed_euler(self) -> HalfLaurent:
         """``sum (-1)^m rank t^a`` as a Laurent polynomial."""
         return HalfLaurent.from_pairs(
@@ -181,27 +177,26 @@ def predicted_top(s: int, g: int) -> BigradedRank:
 # The skein exact triangle
 # --------------------------------------------------------------------------
 
-def triangle_solve(h_rank: int, minus_rank0: int = 1, minus_rank_neg1: int = 0) -> int:
+def triangle_solve(h_rank: int, minus_rank_neg1: int = 0) -> int:
     """Rank of the unresolved closure at ``(M, A) = (-1, g-1)``.
 
     ``h_rank`` is the rank of the oriented resolution's contribution at
     that slot: its own next-to-top rank at Maslov -1, plus 2 when the
     resolution has fewer components (the Hopf pattern supplies an extra
-    ``F^2`` there).  ``minus_rank0`` and ``minus_rank_neg1`` are the
-    resolved-to-negative term's ranks at Maslov 0 and -1 in its top
-    Alexander grading: (1, 0) for a non-split word, (1, 1) for a
-    two-piece disjoint union.
+    ``F^2`` there).  The resolved-to-negative term's top Alexander grading
+    has rank 1 at Maslov 0 and ``minus_rank_neg1`` at Maslov -1: 0 for a
+    non-split word, 1 for a two-piece disjoint union.
 
     The map into the resolved-to-negative top group vanishes and the map
     out of it is injective, so the sequence pins the rank at
-    ``h_rank - minus_rank0 + minus_rank_neg1``.  The rank at ``(0, g-1)``
+    ``h_rank - 1 + minus_rank_neg1``.  The rank at ``(0, g-1)``
     would be inherited unchanged from the oriented resolution's own
     ``(0, g-1)``; no base case (unknot, Hopf link, trefoil) has one, so
     it is zero for every connected closure and is not carried.
     """
-    if h_rank < minus_rank0:
-        raise NegativeRankError(f"injectivity violated: h={h_rank} < {minus_rank0}")
-    return h_rank - minus_rank0 + minus_rank_neg1
+    if h_rank < 1:
+        raise NegativeRankError(f"injectivity violated: h={h_rank} < 1")
+    return h_rank - 1 + minus_rank_neg1
 
 
 # --------------------------------------------------------------------------
@@ -285,10 +280,13 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
 def rn_next_to_top(n: int, budget: int = DEFAULT_BUDGET) -> BigradedRank:
     """Next-to-top group of the ring of ``n`` unknots, each clasped to the next.
 
-    Resolving one clasp gives the ring of ``n-1`` unknots and the chain of
-    ``n-1`` Hopf links; the chain's ranks are tensor powers of the Hopf
-    pattern, and the two-ring base case is the (2,4) torus link.  Rings
-    on more than ``MAX_STRANDS`` unknots raise ``RangeError``.
+    Resolving one clasp of the ring of ``m`` unknots gives the ring of
+    ``m-1`` unknots, which has fewer components, and the chain of ``m-1``
+    Hopf links, whose top group is ``F[0]`` (the top slice of a tensor
+    power of ``J``).  So each extra unknot is one triangle step that adds
+    1 to the rank, starting from the (2,4) torus link, which is the ring
+    of two.  Rings on more than ``MAX_STRANDS`` unknots raise
+    ``RangeError``.
     """
     if n < 3:
         raise ValueError(f"ring computation needs n >= 3, got {n}")
@@ -296,12 +294,6 @@ def rn_next_to_top(n: int, budget: int = DEFAULT_BUDGET) -> BigradedRank:
         raise RangeError(f"rings of at most {MAX_STRANDS} unknots are accepted, got {n}")
     # two unknots clasped twice close to the (2,4) torus link, of genus 1
     rank = next_to_top_via_skein(BraidWord(2, (1, 1, 1, 1)), budget).rank_at(-1, 1)
-    hopf_chain = J
-    for m in range(3, n + 1):
-        hopf_chain = hopf_chain.tensor(J)  # m-1 Hopf links
-        top_slice = hopf_chain.alexander_slice(m - 1)
-        if top_slice != {0: 1}:
-            raise NegativeRankError("Hopf chain top group is not F[0]")
-        # the smaller ring has m-1 < m circles, so l_zero has fewer components
-        rank = triangle_solve(rank + 2, top_slice[0], top_slice.get(-1, 0))
+    for _ in range(3, n + 1):
+        rank = triangle_solve(rank + 2)
     return BigradedRank({(-1, n - 1): rank})

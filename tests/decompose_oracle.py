@@ -10,12 +10,12 @@ search is sound but bounded: ``verified`` is False when the budget ran
 out before some factor's orbit was exhausted.
 """
 
+from itertools import islice
+
 from braidhfk.braidword import (
     _ALL_MOVES,
     BraidWord,
     LinkClass,
-    SplitPiece,
-    _Budget,
     _orbit,
     closure_components,
     split_pieces,
@@ -46,23 +46,30 @@ def reduction_as_written(strands, u):
 
 def decompose_by_search(w, budget):
     """``LinkClass`` of ``w`` found by the orbit search; one budget of
-    visited words is shared by every factor's search."""
-    b = _Budget(budget)
-    pieces = []
-    for piece in split_pieces(w):
+    visited words is shared by every factor's search.  A factor whose
+    search is cut short is recorded as prime, and ``verified`` is False
+    when a word was still waiting at the cut."""
+    left = budget
+    exhausted = False
+    pieces = split_pieces(w)
+    primes = []
+    for piece in pieces:
         factors = []
         work = [(piece.strands, piece.letters)]
         while work:
             strands, letters = work.pop()
             if strands == 1:
                 continue
-            for v, _ in _orbit(letters, _ALL_MOVES, b):
+            walk = _orbit(letters, _ALL_MOVES)
+            for v, _ in islice(walk, left):
+                left -= 1
                 r = reduction_as_written(strands, v)
                 if r is not None:
                     work.extend(r)
                     break
             else:
+                if left == 0 and next(walk, None) is not None:
+                    exhausted = True
                 factors.append(BraidWord(strands, letters))
-        factors.sort(key=lambda f: (f.strands, f.letters))
-        pieces.append(SplitPiece(tuple(factors), unknot=not factors))
-    return LinkClass(tuple(pieces), closure_components(w), not b.exhausted)
+        primes += sorted(factors, key=lambda f: (f.strands, f.letters))
+    return LinkClass(tuple(primes), len(pieces), closure_components(w), not exhausted)

@@ -7,7 +7,9 @@ builds the gap between each pair of consecutive occurrences, so it
 shares only the orbit walk with the code it checks.
 """
 
-from braidhfk.braidword import _ALL_MOVES, BraidWord, _Budget, _orbit, closure_genus
+from itertools import islice
+
+from braidhfk.braidword import _ALL_MOVES, BraidWord, _orbit, closure_genus
 
 
 def adjacent_pair_by_gaps(u):
@@ -37,7 +39,7 @@ def square_by_checking_every_word(w, budget):
     ``budget`` visited words run out first."""
     if closure_genus(w) == 0:
         return None
-    for u, _ in _orbit(w.letters, _ALL_MOVES, _Budget(budget)):
+    for u, _ in islice(_orbit(w.letters, _ALL_MOVES), budget):
         hit = adjacent_pair_by_gaps(u)
         if hit is not None:
             return BraidWord(w.strands, hit)

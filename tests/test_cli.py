@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from braidhfk.braidword import DEFAULT_BUDGET
 from braidhfk.cli import main
 
@@ -161,6 +163,16 @@ class TestFamilyAndRings:
         assert code == 0
         assert len(out.split()) == 1 + 10000
 
+    def test_combined_family_size_bounds(self, capsys):
+        for params in [("connected_sum", "1^6000", "1^6000"),
+                       ("disjoint_union", "strands=900: 1", "strands=900: 1")]:
+            code, out, err = run(capsys, "family", *params)
+            assert code == 2
+            assert out == "" and err.startswith("error:")
+        code, out, _ = run(capsys, "family", "connected_sum", "1 1", "1 1 1")
+        assert code == 0
+        assert out.strip() == "strands=3: 1 1 2 2 2"
+
     def test_rn(self, capsys):
         code, out, _ = run(capsys, "rn", "5", "--json")
         payload = json.loads(out)
@@ -177,3 +189,25 @@ class TestFamilyAndRings:
         code, _, err = run(capsys, "rn", "2")
         assert code == 2
         assert "n >= 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "1 x"),
+        ("info", "strands=1001: 1"),
+        ("alexander", "0"),
+        ("hfk", "1^0"),
+        ("states", "strands=2: 2"),
+        ("states", "1 1"),
+        ("verify", "1^10001"),
+        ("family", "torus", "x", "2"),
+        ("rn", "2"),
+        ("corpus", "--strands", "1", "--len", "2"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

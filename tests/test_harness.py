@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import pathlib
 import random
@@ -212,3 +213,21 @@ class TestTracedBenchmark:
         assert names
         for name in names:
             assert callable(getattr(harness, name, None)), name
+
+
+def test_exports_are_exactly_the_package_imports():
+    # __all__ is kept by hand: a name dropped from the imports but left in
+    # the list (or the reverse) is caught here
+    import braidhfk
+
+    tree = ast.parse(pathlib.Path(braidhfk.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(braidhfk.__all__) == len(set(braidhfk.__all__))
+    for name in braidhfk.__all__:
+        getattr(braidhfk, name)
+    assert set(braidhfk.__all__) == imported

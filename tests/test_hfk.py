@@ -245,6 +245,16 @@ class TestRingLinks:
         for n in range(3, 11):
             assert rn_next_to_top(n) == BigradedRank({(-1, n - 1): n})
 
+    def test_largest_ring(self):
+        assert rn_next_to_top(MAX_STRANDS) == BigradedRank({(-1, MAX_STRANDS - 1): MAX_STRANDS})
+
+    def test_hopf_chain_top_group_is_f0(self):
+        # each ring step resolves a clasp into the chain of k Hopf links and
+        # reads its top group as F[0]: rank 1 at Maslov 0, none at -1
+        for k in range(1, 51):
+            top = [(m, r) for m, a, r in J.tensor_power(k).to_triples() if a == k]
+            assert top == [(0, 1)]
+
 
 class TestKunnethConventions:
     def test_hopf_chain_ranks_are_j_powers(self):

@@ -1,16 +1,17 @@
-"""Property tests: the Burau and skein engines see closures, not words,
-the doubled-crossing check sees rotation/commutation classes, the
+"""Property tests: the Burau, skein and Kauffman engines see closures, not
+words, the doubled-crossing check sees rotation/commutation classes, the
 Kauffman sweep counts what the enumerator lists, and the engines obey the
 connected-sum and disjoint-union laws.
 
 Rotation, far commutation and the braid relation preserve the closure,
-so ``alexander_burau``, ``conway`` and ``next_to_top_via_skein`` must not
-change under any of them.
+so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
+Euler characteristic of the Kauffman histogram must not change under any
+of them.
 """
 
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidhfk import alexander, hfk
@@ -113,20 +114,24 @@ def test_doubled_crossing_check_sees_shuffles(w):
         assert (_adjacent_pair(v) is None) == missed
 
 
-@st.composite
-def knot_words(draw, max_strands=5, max_len=12):
-    """Random letters, then ``s_i`` appended for each ``i`` whose strands
-    ``i`` and ``i+1`` still close up into different components: each such
-    letter merges two components, so the closure ends as one knot that
-    uses every generator."""
-    n = draw(st.integers(2, max_strands))
-    letters = draw(st.lists(st.integers(1, n - 1), max_size=max_len - (n - 1)))
-    w = BraidWord(n, tuple(letters))
-    for i in range(1, n):
-        joined = BraidWord(n, w.letters + (i,))
+def joined_up(w):
+    """``w`` with ``s_i`` appended for each ``i`` whose strands ``i`` and
+    ``i+1`` still close up into different components: each such letter
+    merges two components, so the closure ends as one knot that uses every
+    generator.  The letters appended depend only on the permutation."""
+    for i in range(1, w.strands):
+        joined = BraidWord(w.strands, w.letters + (i,))
         if closure_components(joined) < closure_components(w):
             w = joined
     return w
+
+
+@st.composite
+def knot_words(draw, min_strands=2, max_strands=5, max_len=12):
+    """Random letters, ``joined_up`` into a knot of at most ``max_len`` letters."""
+    n = draw(st.integers(min_strands, max_strands))
+    letters = draw(st.lists(st.integers(1, n - 1), max_size=max_len - (n - 1)))
+    return joined_up(BraidWord(n, tuple(letters)))
 
 
 @PROPERTY
@@ -136,6 +141,44 @@ def test_kauffman_sweep_counts_the_listed_states(w):
     d = build_diagram(w)
     listed = Counter((s.maslov, s.alexander) for s in enumerate_states(d))
     assert bigraded_counts(d) == dict(listed)
+
+
+def kauffman_euler(w):
+    """Graded Euler characteristic of the Kauffman state histogram of ``w``.
+    The histogram itself depends on the diagram; only this is invariant."""
+    return BigradedRank(bigraded_counts(build_diagram(w))).signed_euler()
+
+
+@PROPERTY
+@given(knot_words(max_len=10), st.integers(0, 9))
+def test_kauffman_rotation(w, k):
+    assert kauffman_euler(w.rotated(k)) == kauffman_euler(w)
+
+
+@PROPERTY
+@given(knot_words(min_strands=4, max_len=10), st.data())
+def test_kauffman_far_commutation(w, data):
+    u = w.letters
+    far = [j for j in range(len(u) - 1) if abs(u[j] - u[j + 1]) >= 2]
+    assume(far)
+    j = data.draw(st.sampled_from(far))
+    swapped = BraidWord(w.strands, u[:j] + (u[j + 1], u[j]) + u[j + 2:])
+    assert kauffman_euler(swapped) == kauffman_euler(w)
+
+
+@PROPERTY
+@given(st.integers(3, 5), st.data())
+def test_kauffman_braid_relation(n, data):
+    # the triple is inserted first and the word joined up afterwards: both
+    # sides have the same permutation, so the same letters make both knots
+    letters = data.draw(st.lists(st.integers(1, n - 1), max_size=10 - 3 - (n - 1)))
+    i = data.draw(st.integers(1, n - 2))
+    cut = data.draw(st.integers(0, len(letters)))
+    head, tail = tuple(letters[:cut]), tuple(letters[cut:])
+    a = joined_up(BraidWord(n, head + (i, i + 1, i) + tail))
+    b = joined_up(BraidWord(n, head + (i + 1, i, i + 1) + tail))
+    assert a.letters[len(letters) + 3:] == b.letters[len(letters) + 3:]
+    assert kauffman_euler(a) == kauffman_euler(b)
 
 
 @st.composite
