@@ -49,7 +49,7 @@ import dataclasses
 import re
 from collections import deque
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 #: Default cap on the number of words visited by any single rewrite search.
 DEFAULT_BUDGET = 200_000
@@ -217,52 +217,57 @@ def closure_genus(w: BraidWord) -> int:
 # Length-preserving moves and the breadth-first orbit walk
 # --------------------------------------------------------------------------
 
-def _shuffles(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """One-step rotation and distant commutations."""
-    n = len(u)
-    if n > 1:
-        yield u[1:] + u[:1]
-    for j in range(n - 1):
-        a, b = u[j], u[j + 1]
-        if abs(a - b) >= 2:
-            yield u[:j] + (b, a) + u[j + 2:]
+def _orbit(u: tuple[int, ...], braids: bool) -> Iterator[tuple[tuple[int, ...], Optional[str]]]:
+    """The words reachable from ``u`` by rotations and distant commutations,
+    and also by braid relations when ``braids`` is set, breadth first,
+    ``u`` first.
 
-
-def _braid_moves(u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """One-step braid relations ``s_i s_j s_i -> s_j s_i s_j``, ``|i-j| = 1``."""
-    for j in range(len(u) - 2):
-        a, b = u[j], u[j + 1]
-        if u[j + 2] == a and abs(a - b) == 1:
-            yield u[:j] + (b, a, b) + u[j + 3:]
-
-
-_ALL_MOVES = (_shuffles, _braid_moves)
-
-
-def _orbit(u: tuple[int, ...], moves) -> Iterator[tuple[tuple[int, ...], Optional[Callable]]]:
-    """The words reachable from ``u`` by ``moves``, breadth first, ``u`` first.
-
-    Each word comes paired with the move family (a member of ``moves``)
-    that first reached it, or ``None`` for ``u`` itself.  The walk is
-    lazy: a search that needs at most ``n`` words takes them with
-    ``itertools.islice``.
+    Each word comes paired with how it was first reached: ``"shuffle"`` (a
+    rotation or distant commutation), ``"braid"`` (a braid relation
+    ``s_i s_j s_i -> s_j s_i s_j``, ``|i-j| = 1``), or ``None`` for ``u``
+    itself.  A word's neighbours are queued in a fixed order: the rotation
+    by one letter, the distant commutations left to right, then the braid
+    relations left to right.  The walk is lazy: a search that needs at most
+    ``n`` words takes them with ``itertools.islice``.
     """
     seen = {u}
     queue = deque([(u, None)])
     while queue:
         v, via = queue.popleft()
         yield v, via
-        for move in moves:
-            for nb in move(v):
+        n = len(v)
+        if n > 1:
+            nb = v[1:] + v[:1]
+            if nb not in seen:
+                seen.add(nb)
+                queue.append((nb, "shuffle"))
+        # each move is made on a scratch copy of v, read off, and undone
+        work = list(v)
+        for j in range(n - 1):
+            a, b = work[j], work[j + 1]
+            if a - b >= 2 or b - a >= 2:
+                work[j], work[j + 1] = b, a
+                nb = tuple(work)
+                work[j], work[j + 1] = a, b
                 if nb not in seen:
                     seen.add(nb)
-                    queue.append((nb, move))
+                    queue.append((nb, "shuffle"))
+        if braids:
+            for j in range(n - 2):
+                a, b = work[j], work[j + 1]
+                if work[j + 2] == a and (a - b == 1 or b - a == 1):
+                    work[j], work[j + 1], work[j + 2] = b, a, b
+                    nb = tuple(work)
+                    work[j], work[j + 1], work[j + 2] = a, b, a
+                    if nb not in seen:
+                        seen.add(nb)
+                        queue.append((nb, "braid"))
 
 
 def word_class(w: BraidWord) -> Iterator[tuple[int, ...]]:
     """The letters of every word related to ``w`` by rotations and distant
     commutations, ``w`` first.  All of them close to the same link."""
-    return (v for v, _ in _orbit(w.letters, (_shuffles,)))
+    return (v for v, _ in _orbit(w.letters, braids=False))
 
 
 def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
@@ -320,7 +325,8 @@ def resolve_square(w: BraidWord) -> SkeinTriple:
 def _adjacent_pair(u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """If two occurrences of some generator ``i`` are cyclically consecutive
     among the letters ``i-1, i, i+1``, return the word rewritten as
-    ``(i, i, ...)``: the smallest such ``i``, at its first such occurrence.
+    ``(i, i, ...)``: the smallest such ``i``, at its first such pair in
+    position order, the pair wrapping past the end of the word last.
 
     Every letter between the pair commutes with ``s_i``, so the pair can be
     rotated to the front and the gap commuted out of the way.  Whether the
@@ -329,16 +335,47 @@ def _adjacent_pair(u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     ``i-1, i, i+1``.  A distant commutation swaps two adjacent letters; when
     both lie in the window they are ``i-1`` and ``i+1``, so whether two
     ``i`` are consecutive in the window never changes.
+
+    One pass over the word finds every pair that does not wrap: an ``i`` at
+    ``q`` pairs with the last ``i`` before it when no ``i-1`` or ``i+1``
+    came in between.  The wrap pair of ``i`` is its last and first
+    occurrence, when no ``i-1`` or ``i+1`` comes after the one or before
+    the other.
     """
-    n = len(u)
-    for i in sorted(set(u)):
-        window = [p for p, x in enumerate(u) if i - 1 <= x <= i + 1]
-        for p, q in zip(window, window[1:] + window[:1]):
-            if p != q and u[p] == i == u[q]:
-                r = u[p:] + u[:p]
-                k = (q - p) % n
-                return (i, i) + r[1:k] + r[k + 1:]
-    return None
+    if not u:
+        return None
+    n, low, top = len(u), min(u), max(u)
+    last = [-1] * (top + 2)
+    pairs: dict[int, tuple[int, int]] = {}
+    for q, x in enumerate(u):
+        p = last[x]
+        if p > last[x - 1] and p > last[x + 1] and x not in pairs:
+            pairs[x] = (p, q)
+            if x == low:
+                break
+        last[x] = q
+    best = min(pairs, default=top + 1)
+    if best > low:
+        first = dict(zip(reversed(u), range(n - 1, -1, -1)))
+        for i in range(low, best):
+            p, q = last[i], first.get(i, n)
+            if (q < p and p > last[i - 1] and p > last[i + 1]
+                    and q < first.get(i - 1, n) and q < first.get(i + 1, n)):
+                best = i
+                pairs[i] = (p, q)
+                break
+    if best > top:
+        return None
+    p, q = pairs[best]
+    r = u[p:] + u[:p]
+    k = (q - p) % n
+    return (best, best) + r[1:k] + r[k + 1:]
+
+
+#: ``find_adjacent_square`` results, as letters, keyed on
+#: ``(strands, letters, budget)``.  Both skein routes resolve the same
+#: words, so each search runs once.
+_square_cache: dict[tuple[int, tuple[int, ...], int], Optional[tuple[int, ...]]] = {}
 
 
 def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional[BraidWord]:
@@ -347,7 +384,8 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     Returns ``None`` when the closure is an unlink (genus 0, where no such
     doubled crossing can exist) or when the first ``budget`` words of the
     move orbit hold none.  A non-positive ``budget`` raises ``ValueError``
-    once the word is known to have positive genus.
+    once the word is known to have positive genus, whether or not the
+    result is already in ``_square_cache``.
 
     The search walks the move orbit breadth first and counts every visited
     word against ``budget``, but checks only ``w`` and the words first
@@ -357,20 +395,26 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     ``_adjacent_pair`` hits on a word exactly when it hits on its
     shuffles.  So the first word in breadth-first order whose check hits
     is never a skipped one, and the result is the one that checking every
-    word would return.
+    word would return.  The result is kept in ``_square_cache``, so each
+    ``(strands, letters, budget)`` is searched once per process.
     """
     if not w.is_connected:
         raise ValueError("find_adjacent_square expects a connected word")
     if closure_genus(w) == 0:
         return None
     require_budget(budget)
-    for u, via in islice(_orbit(w.letters, _ALL_MOVES), budget):
-        if via is _shuffles:
-            continue
-        hit = _adjacent_pair(u)
-        if hit is not None:
-            return BraidWord(w.strands, hit)
-    return None
+    key = (w.strands, w.letters, budget)
+    if key not in _square_cache:
+        hit = None
+        for u, via in islice(_orbit(w.letters, braids=True), budget):
+            if via == "shuffle":
+                continue
+            hit = _adjacent_pair(u)
+            if hit is not None:
+                break
+        _square_cache[key] = hit
+    hit = _square_cache[key]
+    return None if hit is None else BraidWord(w.strands, hit)
 
 
 # --------------------------------------------------------------------------

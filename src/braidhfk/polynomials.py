@@ -8,6 +8,7 @@ turns it into a ``HalfLaurent``.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Mapping
 
 
@@ -173,10 +174,10 @@ class ConwayPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = list(coeffs)
+        c = list(map(int, coeffs))
         while c and c[-1] == 0:
             c.pop()
-        self._c = tuple(int(x) for x in c)
+        self._c = tuple(c)
 
     @classmethod
     def zero(cls) -> "ConwayPoly":
@@ -204,13 +205,7 @@ class ConwayPoly:
         return hash(self._c)
 
     def __add__(self, other: "ConwayPoly") -> "ConwayPoly":
-        n = max(len(self._c), len(other._c))
-        return ConwayPoly(
-            (self[i] + other[i] for i in range(n))
-        )
-
-    def __getitem__(self, i: int) -> int:
-        return self._c[i] if 0 <= i < len(self._c) else 0
+        return ConwayPoly([a + b for a, b in zip_longest(self._c, other._c, fillvalue=0)])
 
     def __mul__(self, other: "ConwayPoly") -> "ConwayPoly":
         if not self._c or not other._c:

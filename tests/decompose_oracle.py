@@ -5,21 +5,16 @@ off the word: each connected factor walks its rotation, commutation and
 braid-relation orbit until a reduction fires on some word *as written*.
 It carries its own copy of the reductions, with rule B in its strict
 form (the word is cyclically one block of letters ``< k`` and one of
-letters ``>= k``), so it shares no rule with the code it checks.  The
+letters ``>= k``), so it shares no rule with the code it checks, and it
+walks the reference orbit of ``square_oracle``, not ``braidword``'s.  The
 search is sound but bounded: ``verified`` is False when the budget ran
 out before some factor's orbit was exhausted.
 """
 
 from itertools import islice
 
-from braidhfk.braidword import (
-    _ALL_MOVES,
-    BraidWord,
-    LinkClass,
-    _orbit,
-    closure_components,
-    split_pieces,
-)
+from braidhfk.braidword import BraidWord, LinkClass, closure_components, split_pieces
+from square_oracle import ALL_MOVES, reference_orbit
 
 
 def reduction_as_written(strands, u):
@@ -60,7 +55,7 @@ def decompose_by_search(w, budget):
             strands, letters = work.pop()
             if strands == 1:
                 continue
-            walk = _orbit(letters, _ALL_MOVES)
+            walk = reference_orbit(letters, ALL_MOVES)
             for v, _ in islice(walk, left):
                 left -= 1
                 r = reduction_as_written(strands, v)

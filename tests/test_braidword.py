@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -22,11 +23,12 @@ from braidhfk.braidword import (
     parse_serialized,
     resolve_square,
     split_pieces,
+    word_class,
 )
 from braidhfk.alexander import alexander_burau, conway
-from braidhfk.harness import connected_sum, corpus, torus
+from braidhfk.harness import connected_sum, corpus, torus, verify
 from decompose_oracle import decompose_by_search
-from square_oracle import square_by_checking_every_word
+from square_oracle import _shuffles, reference_orbit, square_by_checking_every_word
 
 
 @st.composite
@@ -186,6 +188,14 @@ class TestCanonicalKey:
 
     def test_strand_count_in_key(self):
         assert canonical_key(BraidWord(2, (1, 1))) != canonical_key(BraidWord(3, (1, 1)))
+
+    def test_word_class_walks_like_the_reference(self):
+        # canonical_key and corpus read only the set of words, so a change
+        # of order would not show in them; find_adjacent_square's result
+        # depends on the order of the same walk with braid relations
+        for w in corpus(3, 8) + corpus(4, 7):
+            reference = [v for v, _ in reference_orbit(w.letters, (_shuffles,))]
+            assert list(word_class(w)) == reference
 
     def test_invariant_under_random_scrambles(self):
         rng = random.Random(5)
@@ -351,6 +361,39 @@ class TestFindAdjacentSquare:
         assert found == [square_by_checking_every_word(w, budget) for w in words]
         if budget < DEFAULT_BUDGET:
             assert None in found  # some searches run out of budget
+
+    def test_each_search_runs_once_per_verify(self, monkeypatch):
+        # both skein routes resolve the same words; the shared table runs
+        # each search once.  On connected words the letters fix the strand
+        # count, and verify passes one budget, so the letters are the key.
+        from braidhfk import alexander, braidword, hfk
+
+        walks = Counter()
+        orbit = braidword._orbit
+
+        def counting(u, braids):
+            if braids:
+                walks[u] += 1
+            return orbit(u, braids)
+
+        monkeypatch.setattr(braidword, "_orbit", counting)
+        braidword._square_cache.clear()
+        alexander.clear_caches()
+        hfk.clear_caches()
+        verify(torus(6, 3))
+        assert walks and max(walks.values()) == 1
+
+    def test_warm_table_keeps_each_budget_apart(self):
+        w = torus(4, 5)
+        find_adjacent_square(w)
+        for budget in (1, 5):
+            assert find_adjacent_square(w, budget) == square_by_checking_every_word(w, budget)
+
+    def test_warm_table_still_rejects_a_bad_budget(self):
+        w = torus(4, 5)
+        find_adjacent_square(w)
+        with pytest.raises(ValueError, match="budget"):
+            find_adjacent_square(w, 0)
 
 
 class TestResolveSquare:

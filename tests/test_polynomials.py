@@ -86,6 +86,9 @@ class TestConwayPoly:
         assert (a + b).coefficients == (1, 1, 1)
         assert a.times_z().coefficients == (0, 1, 0, 1)
 
+    def test_sum_trims_cancelled_top_coefficients(self):
+        assert ConwayPoly([1, 2]) + ConwayPoly([0, -2]) == ConwayPoly([1])
+
     def test_substitution_matches_sympy(self):
         rng = random.Random(3)
         t = sympy.symbols("t", positive=True)

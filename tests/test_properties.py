@@ -11,22 +11,17 @@ of them.
 
 from collections import Counter
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidhfk import alexander, hfk
 from braidhfk.alexander import alexander_burau, conway, hfk_euler
-from braidhfk.braidword import (
-    BraidWord,
-    _adjacent_pair,
-    _shuffles,
-    closure_components,
-    closure_genus,
-)
+from braidhfk.braidword import BraidWord, _adjacent_pair, closure_components, closure_genus
 from braidhfk.harness import connected_sum, disjoint_union
 from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
 from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
 from braidhfk.polynomials import HalfLaurent
+from square_oracle import _shuffles, adjacent_pair_by_gaps
 
 PROPERTY = settings(max_examples=150)
 
@@ -34,7 +29,7 @@ PROPERTY = settings(max_examples=150)
 @st.composite
 def words(draw, min_strands=2, max_len=12, max_strands=6):
     n = draw(st.integers(min_strands, max_strands))
-    letters = draw(st.lists(st.integers(1, n - 1), max_size=max_len))
+    letters = draw(st.lists(st.integers(1, n - 1), max_size=max_len)) if n > 1 else []
     return BraidWord(n, tuple(letters))
 
 
@@ -112,6 +107,14 @@ def test_doubled_crossing_check_sees_shuffles(w):
     missed = _adjacent_pair(w.letters) is None
     for v in _shuffles(w.letters):
         assert (_adjacent_pair(v) is None) == missed
+
+
+@settings(max_examples=300)
+@given(words(min_strands=1, max_len=14, max_strands=7))
+@example(BraidWord(1, ()))
+@example(BraidWord(2, ()))
+def test_one_pass_check_matches_the_gap_check(w):
+    assert _adjacent_pair(w.letters) == adjacent_pair_by_gaps(w.letters)
 
 
 def joined_up(w):
