@@ -91,7 +91,7 @@ def _conway(w: BraidWord, budget: int) -> ConwayPoly:
                 _conway_cache[key] = ConwayPoly.one()
                 continue
             if (r := immediate_reduction(u.strands, u.letters)) is not None:
-                expansion = (False, tuple(BraidWord(strands, letters) for strands, letters in r[1:]))
+                expansion = (False, tuple(BraidWord(strands, letters) for strands, letters in r))
             else:
                 sq = find_adjacent_square(u, budget)
                 if sq is None:
@@ -126,17 +126,6 @@ def hfk_euler(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:
     """
     nabla = conway(w, budget).to_half_laurent()
     return _euler_bridge(nabla, closure_components(w))
-
-
-def second_coefficient(w: BraidWord, budget: int = DEFAULT_BUDGET) -> int:
-    """Coefficient of ``t^(g-1)`` in the graded Euler characteristic.
-
-    For a non-split positive braid closure this equals
-    ``-(primes + components - splits)``; in particular -1 for prime knots.
-    """
-    if not w.is_connected:
-        raise ValueError("second_coefficient expects a non-split closure")
-    return hfk_euler(w, budget).coefficient(closure_genus(w) - 1)
 
 
 # --------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class ShapeError(ValueError):
     """Word does not have the shape required by the operation."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class BraidWord:
     """A positive braid word: ``strands >= 1`` and letters in ``1..strands-1``."""
 
@@ -336,40 +336,31 @@ def _adjacent_pair(u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     both lie in the window they are ``i-1`` and ``i+1``, so whether two
     ``i`` are consecutive in the window never changes.
 
-    One pass over the word finds every pair that does not wrap: an ``i`` at
-    ``q`` pairs with the last ``i`` before it when no ``i-1`` or ``i+1``
-    came in between.  The wrap pair of ``i`` is its last and first
-    occurrence, when no ``i-1`` or ``i+1`` comes after the one or before
-    the other.
+    One pass over ``u + u`` finds every pair: an ``i`` at ``q`` pairs with
+    the last ``i`` before it, at ``p``, when no ``i-1`` or ``i+1`` came in
+    between, ``p`` lies in the first copy, and ``p`` is not ``q``'s own
+    copy.  Only the pair that wraps past the end of the word has its
+    second letter in the second copy, so it is met after every plain pair.
     """
     if not u:
         return None
-    n, low, top = len(u), min(u), max(u)
-    last = [-1] * (top + 2)
-    pairs: dict[int, tuple[int, int]] = {}
-    for q, x in enumerate(u):
+    n, low = len(u), min(u)
+    last = [-n] * (max(u) + 2)
+    best = None
+    for q, x in enumerate(u + u):
         p = last[x]
-        if p > last[x - 1] and p > last[x + 1] and x not in pairs:
-            pairs[x] = (p, q)
-            if x == low:
-                break
+        if q - n < p < n and p > last[x - 1] and p > last[x + 1]:
+            if best is None or x < best[0]:
+                best = (x, p, q % n)
+                if x == low:
+                    break
         last[x] = q
-    best = min(pairs, default=top + 1)
-    if best > low:
-        first = dict(zip(reversed(u), range(n - 1, -1, -1)))
-        for i in range(low, best):
-            p, q = last[i], first.get(i, n)
-            if (q < p and p > last[i - 1] and p > last[i + 1]
-                    and q < first.get(i - 1, n) and q < first.get(i + 1, n)):
-                best = i
-                pairs[i] = (p, q)
-                break
-    if best > top:
+    if best is None:
         return None
-    p, q = pairs[best]
+    i, p, q = best
     r = u[p:] + u[:p]
     k = (q - p) % n
-    return (best, best) + r[1:k] + r[k + 1:]
+    return (i, i) + r[1:k] + r[k + 1:]
 
 
 #: ``find_adjacent_square`` results, as letters, keyed on
@@ -468,8 +459,8 @@ def immediate_reduction(strands: int, u: tuple[int, ...]):
     rule A at the smallest interior generator, rule B at the smallest
     splitting level.  Whether a rule fires is the same for every word
     related to ``u`` by rotations and distant commutations.  The result
-    is ``("destab", piece)`` or ``("cut", piece, piece)``; each piece is a
-    connected ``(strands, letters)`` pair, and the closure is the
+    is a tuple of one piece (a destabilisation) or two (a cut); each piece
+    is a connected ``(strands, letters)`` pair, and the closure is the
     connected sum of the pieces' closures.
     """
     counts = [0] * (strands + 1)
@@ -477,15 +468,15 @@ def immediate_reduction(strands: int, u: tuple[int, ...]):
         counts[x] += 1
     if strands >= 2 and counts[1] == 1:
         rest = tuple(x - 1 for x in u if x != 1)
-        return ("destab", (strands - 1, rest))
+        return ((strands - 1, rest),)
     if strands >= 2 and counts[strands - 1] == 1:
         rest = tuple(x for x in u if x != strands - 1)
-        return ("destab", (strands - 1, rest))
+        return ((strands - 1, rest),)
     for i in range(2, strands - 1):
         if counts[i] == 1:
             left = tuple(x for x in u if x < i)
             right = tuple(x - i for x in u if x > i)
-            return ("cut", (i, left), (strands - i, right))
+            return ((i, left), (strands - i, right))
     for k in range(2, strands):
         pos = [j for j, x in enumerate(u) if x == k - 1 or x == k]
         if sum(u[a] != u[b] for a, b in zip(pos, pos[1:] + pos[:1])) == 2:
@@ -493,7 +484,7 @@ def immediate_reduction(strands: int, u: tuple[int, ...]):
             rot = u[start:] + u[:start]
             low = tuple(x for x in rot if x < k)
             high = tuple(x - (k - 1) for x in rot if x >= k)
-            return ("cut", (k, low), (strands - k + 1, high))
+            return ((k, low), (strands - k + 1, high))
     return None
 
 
@@ -520,6 +511,6 @@ def decompose(w: BraidWord) -> LinkClass:
             if r is None:
                 factors.append(BraidWord(strands, letters))
             else:
-                work.extend(r[1:])
+                work.extend(r)
         primes += sorted(factors, key=lambda f: (f.strands, f.letters))
     return LinkClass(tuple(primes), len(pieces), closure_components(w), True)

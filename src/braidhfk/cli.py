@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import harness
 from .alexander import alexander_burau, hfk_euler
-from .braidword import BraidWord, DEFAULT_BUDGET, decompose, parse_serialized
+from .braidword import DEFAULT_BUDGET, decompose, parse_serialized
 from .hfk import BigradedRank, next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
 from .kauffman import (
     KauffmanBudgetError,
@@ -27,10 +27,6 @@ from .polynomials import HalfLaurent
 from .seifert import euler_and_genus, fibered_positive, from_braid
 
 
-def _word(text: str) -> BraidWord:
-    return parse_serialized(text)
-
-
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -39,7 +35,7 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def _cmd_info(args) -> int:
-    w = _word(args.word)
+    w = parse_serialized(args.word)
     lc = decompose(w)
     graph = from_braid(w)
     chi, g = euler_and_genus(graph, lc.components)
@@ -71,7 +67,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
-    w = _word(args.word)
+    w = parse_serialized(args.word)
     methods = ["skein", "burau", "kauffman"] if args.method == "all" else [args.method]
     values: dict[str, Optional[HalfLaurent]] = {}
     for method in methods:
@@ -103,7 +99,7 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_hfk(args) -> int:
-    w = _word(args.word)
+    w = parse_serialized(args.word)
     lc = decompose(w)
     _, g = euler_and_genus(from_braid(w), lc.components)
     top = predicted_top(lc.split_count, g)
@@ -131,7 +127,7 @@ def _cmd_hfk(args) -> int:
 
 
 def _cmd_states(args) -> int:
-    w = _word(args.word)
+    w = parse_serialized(args.word)
     d = build_diagram(w)
     counts = bigraded_counts(d, args.budget)
     if args.json:
@@ -156,7 +152,7 @@ def _cmd_verify(args) -> int:
         if not args.word:
             print("error: give a word or --file", file=sys.stderr)
             return 2
-        words = [_word(args.word)]
+        words = [parse_serialized(args.word)]
     reports = harness.verify_all(words, args.budget)
     if args.json:
         print(harness.reports_to_json(reports))

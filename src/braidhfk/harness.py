@@ -141,6 +141,7 @@ def corpus(max_strands: int, max_len: int) -> list[BraidWord]:
     Shorter words come first."""
     if max_strands < 2:
         raise ValueError("corpus needs at least 2 strands")
+    require_size(max_strands, max_len)
     alphabet = tuple(range(1, max_strands))
     words: list[BraidWord] = []
     for length in range(max_len + 1):

@@ -138,10 +138,6 @@ class BigradedRank:
         return f"BigradedRank({self._r!r})"
 
 
-def tensor(a: BigradedRank, b: BigradedRank) -> BigradedRank:
-    return a.tensor(b)
-
-
 #: Rank pattern of the positive Hopf link.
 J = BigradedRank({(0, 1): 1, (-1, 0): 2, (-2, -1): 1})
 #: Pattern tensored on by a disjoint union.

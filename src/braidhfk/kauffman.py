@@ -18,6 +18,13 @@ that spans the closure arc.  A Kauffman state is a bijection from
 crossings onto the remaining regions using only touching quadrants;
 its Maslov and Alexander gradings are sums of per-quadrant weights.
 
+``build_diagram`` numbers the gaps of each column from its generator
+count, then finds every crossing's four regions in one walk over the
+word, counting the crossings met so far on each column.  The gap of a
+column at the current position is the one that started at its last
+crossing; before the first, it is the gap that wraps past the end of
+the word, index -1 of the column's list.
+
 Weights of a positive crossing (Alexander stored doubled): OUT +1/2,
 IN -1/2, LEFT = RIGHT = 0; Maslov -1 on IN, 0 elsewhere.  The signed
 count ``sum (-1)^M t^A`` over all states recovers the graded Euler
@@ -42,7 +49,6 @@ text listing and the tests.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 
 from .braidword import BraidWord, DEFAULT_BUDGET, closure_components, require_budget
 
@@ -115,37 +121,34 @@ def build_diagram(w: BraidWord) -> ClosedBraidDiagram:
         # empty assignment is the unique state, at bigrading (0, 0)
         return ClosedBraidDiagram(w, ("inner", "outer"), frozenset({0, 1}), ())
 
-    occurrences: dict[int, list[int]] = {i: [] for i in range(1, n)}
-    for p, x in enumerate(letters):
-        occurrences[x].append(p)
+    counts = w.generator_counts()
 
-    # region ids: 0 = inner disk, then column gaps, last = outer region
+    # region ids: 0 = inner disk, then column gaps, last = outer region;
+    # gap_region[c][j] is the gap of column c starting at its j-th crossing,
+    # and the inner disk and outer region are the one gap of columns 0 and n
     names = ["inner"]
-    gap_region: dict[int, list[int]] = {}
+    gap_region = [[0]]
     for i in range(1, n):
-        ids = []
-        for j in range(len(occurrences[i])):
-            ids.append(len(names))
-            names.append(f"c{i}.{j}")
-        gap_region[i] = ids
+        gap_region.append(list(range(len(names), len(names) + counts[i])))
+        names += (f"c{i}.{j}" for j in range(counts[i]))
     outer = len(names)
     names.append("outer")
+    gap_region.append([outer])
 
-    def containing_gap(column: int, p: int) -> int:
-        occ = occurrences[column]
-        return gap_region[column][(bisect_left(occ, p) - 1) % len(occ)]
-
+    # seen[c] counts the crossings on c so far, so the gap of column c
+    # holding the current position is gap_region[c][seen[c] - 1], where
+    # index -1 is the gap that wraps past the end of the word
+    seen = [0] * (n + 1)
     slots = []
-    for p, i in enumerate(letters):
-        occ = occurrences[i]
-        j = occ.index(p)
-        out_region = gap_region[i][j]
-        in_region = gap_region[i][(j - 1) % len(occ)]
-        left_region = 0 if i == 1 else containing_gap(i - 1, p)
-        right_region = outer if i == n - 1 else containing_gap(i + 1, p)
-        slots.append(
-            ((OUT, out_region), (IN, in_region), (LEFT, left_region), (RIGHT, right_region))
-        )
+    for i in letters:
+        j = seen[i]
+        slots.append((
+            (OUT, gap_region[i][j]),
+            (IN, gap_region[i][j - 1]),
+            (LEFT, gap_region[i - 1][seen[i - 1] - 1]),
+            (RIGHT, gap_region[i + 1][seen[i + 1] - 1]),
+        ))
+        seen[i] = j + 1
 
     # marked point on the closure arc of the outermost strand: its inner
     # neighbour is the column-(n-1) gap that wraps past the end of the word.

@@ -204,6 +204,7 @@ class TestFamilyAndRings:
         ("family", "torus", "x", "2"),
         ("rn", "2"),
         ("corpus", "--strands", "1", "--len", "2"),
+        ("corpus", "--strands", "1001", "--len", "1"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):

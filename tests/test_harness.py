@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from braidhfk.braidword import BraidWord, canonical_key, decompose
+from braidhfk.braidword import (
+    MAX_LETTERS,
+    MAX_STRANDS,
+    BraidWord,
+    RangeError,
+    canonical_key,
+    decompose,
+)
 from braidhfk.harness import (
     BadParamsError,
     UnknownFamilyError,
@@ -85,6 +92,14 @@ class TestCorpus:
         # frozen size of the working corpus; determinism of the enumeration
         assert len(corpus(4, 6)) == 134
         assert [w.letters for w in corpus(4, 6)] == [w.letters for w in corpus(4, 6)]
+
+    def test_size_bounds(self):
+        with pytest.raises(RangeError):
+            corpus(MAX_STRANDS + 1, 1)
+        with pytest.raises(RangeError):
+            corpus(2, MAX_LETTERS + 1)
+        # the bound leaves the acceptance corpus as it was
+        assert len(corpus(4, 10)) == 2749
 
     def test_corpus_file_round_trip(self):
         lines = [

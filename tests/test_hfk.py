@@ -21,22 +21,21 @@ from braidhfk.hfk import (
     predicted_next_to_top,
     predicted_top,
     rn_next_to_top,
-    tensor,
     triangle_solve,
 )
 
 
 class TestBigradedRank:
     def test_unit_is_identity(self):
-        assert tensor(BigradedRank.unit(), J) == J
+        assert BigradedRank.unit().tensor(J) == J
 
     def test_shift_example(self):
         a = BigradedRank({(-1, 0): 1})
         b = BigradedRank({(0, 0): 1, (-1, 0): 1})
-        assert tensor(a, b) == BigradedRank({(-1, 0): 1, (-2, 0): 1})
+        assert a.tensor(b) == BigradedRank({(-1, 0): 1, (-2, 0): 1})
 
     def test_j_squared_at_a1(self):
-        jj = tensor(J, J)
+        jj = J.tensor(J)
         assert jj.rank_at(-1, 1) == 4
         # full convolution, binomial pattern of the Hopf chain with two links
         assert jj == BigradedRank(
@@ -56,8 +55,8 @@ class TestBigradedRank:
 
         for _ in range(20):
             a, b, c = rand_rank(), rand_rank(), rand_rank()
-            assert tensor(a, b) == tensor(b, a)
-            assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c))
+            assert a.tensor(b) == b.tensor(a)
+            assert a.tensor(b).tensor(c) == a.tensor(b.tensor(c))
 
     def test_negative_rank_rejected(self):
         with pytest.raises(NegativeRankError):

@@ -23,6 +23,7 @@ from braidhfk.kauffman import (
     state_line,
 )
 from braidhfk.polynomials import HalfLaurent
+from diagram_oracle import reference_diagram
 
 
 def brute_force_states(d):
@@ -80,6 +81,18 @@ class TestBuildDiagram:
     def test_rejects_split_diagrams(self):
         with pytest.raises(SplitDiagramError):
             build_diagram(BraidWord(3, (1, 1)))
+
+    def test_same_diagram_as_the_reference_builder(self):
+        knots = [
+            w for w in corpus(4, 8) + corpus(5, 6)
+            if w.is_connected and closure_components(w) == 1
+        ]
+        knots += [t2(n) for n in range(1, 902, 100)]
+        knots += [figure3(), torus(3, 4), torus(4, 9), torus(7, 8)]
+        for w in knots:
+            d, ref = build_diagram(w), reference_diagram(w)
+            assert (d.region_names, d.forbidden, d.slots) == (
+                ref.region_names, ref.forbidden, ref.slots), w
 
 
 class TestEnumerateStates:

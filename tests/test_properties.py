@@ -113,6 +113,9 @@ def test_doubled_crossing_check_sees_shuffles(w):
 @given(words(min_strands=1, max_len=14, max_strands=7))
 @example(BraidWord(1, ()))
 @example(BraidWord(2, ()))
+@example(BraidWord(3, (1, 2, 1)))  # only the wrapping pair exists
+@example(BraidWord(4, (1, 2, 3, 3, 2, 1)))  # 1 pairs by wrapping, after 3's plain pair
+@example(BraidWord(2, (1,)))  # one occurrence never pairs with its own copy
 def test_one_pass_check_matches_the_gap_check(w):
     assert _adjacent_pair(w.letters) == adjacent_pair_by_gaps(w.letters)
 
