@@ -96,18 +96,6 @@ class HalfLaurent:
         r._c = out
         return r
 
-    def __pow__(self, n: int) -> "HalfLaurent":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        acc = HalfLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def shifted(self, doubled_exp: int) -> "HalfLaurent":
         """Multiply by the monomial ``t^(doubled_exp/2)``."""
         r = HalfLaurent()

@@ -7,13 +7,16 @@ from braidhfk.alexander import (
     EngineFailure,
     _bareiss_det,
     _exact_div,
+    _pack,
+    _unpack,
     alexander_burau,
     conway,
     hfk_euler,
 )
-from braidhfk.braidword import BraidWord, closure_genus
+from braidhfk.braidword import BraidWord, closure_components, closure_genus
 from braidhfk.harness import connected_sum, disjoint_union, figure3, torus
 from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
+from burau_oracle import burau_by_lists, euler_bridge, normalize_symmetric
 
 
 def torus_alexander_oracle(p, q):
@@ -28,6 +31,11 @@ def torus_alexander_oracle(p, q):
     return HalfLaurent.from_pairs(
         (2 * k - degree, int(c)) for k, c in enumerate(coeffs)
     )
+
+
+def random_word(strands, length, seed):
+    rng = random.Random(seed)
+    return BraidWord(strands, tuple(rng.randint(1, strands - 1) for _ in range(length)))
 
 
 # Conway polynomials of the (2, k) torus links follow the two-step
@@ -157,17 +165,15 @@ class TestBurau:
             poly = sympy.Poly(theirs, t)
             coeffs = poly.all_coeffs()[::-1]
             raw = HalfLaurent.from_pairs((2 * k, int(c)) for k, c in enumerate(coeffs))
-            from braidhfk.braidword import closure_components
-            from braidhfk.alexander import _euler_bridge, _normalize_symmetric
-
-            assert ours == _normalize_symmetric(
-                _euler_bridge(raw, closure_components(w))
-            )
+            assert ours == normalize_symmetric(euler_bridge(raw, closure_components(w)))
 
     def test_bareiss_matches_sympy_det(self):
         # sparse random matrices over Z[t]: zero pivots, row swaps and
-        # all-zero columns all occur
+        # all-zero columns all occur.  Entries have l1 norm at most 6, so
+        # by Hadamard every coefficient of a 5x5 determinant is below
+        # (6 * sqrt(5))**5 < 2**19, inside the digits of base 2**24.
         t = sympy.symbols("t")
+        bits = 24
         rng = random.Random(13)
         swaps = zeros = 0
         for _ in range(60):
@@ -188,7 +194,7 @@ class TestBurau:
             expected = sympy.Matrix(
                 [[sum(c * t ** k for k, c in enumerate(e)) for e in row] for row in rows]
             ).det()
-            det = _bareiss_det([list(row) for row in rows])
+            det = _unpack(_bareiss_det([[_pack(e, bits) for e in row] for row in rows]), bits)
             zeros += not det
             assert sympy.expand(sum(c * t ** k for k, c in enumerate(det)) - expected) == 0
         assert swaps and zeros
@@ -199,9 +205,24 @@ class TestBurau:
             with pytest.raises(InexactDivisionError):
                 _exact_div(num, den)
 
-    @pytest.mark.parametrize("p", range(5, 17))
+    @pytest.mark.parametrize("p", [*range(5, 17), 20, 24])
     def test_torus_knots_past_the_skein_range(self, p):
         assert alexander_burau(torus(p, p + 1)) == torus_alexander_oracle(p, p + 1)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            BraidWord(3, figure3().letters * 20),
+            random_word(10, 200, seed=8),
+            torus(24, 25),
+            BraidWord(2, (1,) * 1101),
+        ],
+        ids=["10_139^20", "random 10x200", "T(24,25)", "1^1101"],
+    )
+    def test_matches_the_list_engine(self, w):
+        # 42-bit and 38-bit coefficients, a 23x23 elimination, and a
+        # degree-1101 determinant on two strands
+        assert alexander_burau(w) == burau_by_lists(w)
 
     def test_split_inputs_vanish(self):
         assert alexander_burau(BraidWord(4, (1, 1, 3, 3))) == HalfLaurent.zero()

@@ -15,12 +15,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidhfk import alexander, hfk
-from braidhfk.alexander import alexander_burau, conway, hfk_euler
+from braidhfk.alexander import _pack, _unpack, alexander_burau, conway, hfk_euler
 from braidhfk.braidword import BraidWord, _adjacent_pair, closure_components, closure_genus
 from braidhfk.harness import connected_sum, disjoint_union
 from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
 from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
 from braidhfk.polynomials import HalfLaurent
+from burau_oracle import burau_by_lists
 from square_oracle import _shuffles, adjacent_pair_by_gaps
 
 PROPERTY = settings(max_examples=150)
@@ -60,6 +61,35 @@ def test_braid_relation(w, data):
     assert alexander_burau(BraidWord(w.strands, head + (i, i + 1, i) + tail)) == alexander_burau(
         BraidWord(w.strands, head + (i + 1, i, i + 1) + tail)
     )
+
+
+@settings(max_examples=300)
+@given(words(max_strands=7))
+def test_packed_burau_matches_the_list_engine(w):
+    assert alexander_burau(w) == burau_by_lists(w)
+
+
+@st.composite
+def digit_lists(draw):
+    bits = draw(st.integers(2, 80))
+    half = 1 << (bits - 1)
+    return bits, draw(st.lists(st.integers(-half, half - 1), max_size=300))
+
+
+@PROPERTY
+@given(digit_lists())
+@example((5, [-16] * 300))  # every digit at the minimum
+@example((5, [15] * 300))  # every digit at the maximum
+@example((80, [-(1 << 79)] * 300))
+@example((7, []))  # the zero polynomial
+@example((3, [-4] * 33 + [2]))  # 33 digits: unpacked by halves, low digits minimal
+@example((3, [0] * 32 + [1]))  # 33 coefficients: packed by halves
+def test_pack_round_trip(case):
+    bits, coeffs = case
+    trimmed = list(coeffs)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert _unpack(_pack(coeffs, bits), bits) == trimmed
 
 
 def skein_invariants(w):
