@@ -69,7 +69,10 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     the pieces, since Conway is multiplicative under connected sum.
     Everything else resolves at a doubled crossing found by
     ``find_adjacent_square``; every step strictly reduces the crossing
-    count, so the recursion terminates.
+    count, so the recursion terminates.  That search writes the crossing
+    down in one pass unless the word is a simple braid, and ``budget``
+    caps the simple conjugates it walks then; ``EngineFailure`` when they
+    run out first.
     """
     require_budget(budget)
     return _conway(w, budget)

@@ -48,10 +48,11 @@ from __future__ import annotations
 import dataclasses
 import re
 from collections import deque
-from itertools import islice
 from typing import Iterator, Optional
 
-#: Default cap on the number of words visited by any single rewrite search.
+#: Default cap on any single search: the simple conjugates visited by
+#: ``find_adjacent_square``, and the Kauffman engines' table entries and
+#: backtracking nodes.
 DEFAULT_BUDGET = 200_000
 
 #: Largest strand count and word length ``parse_braid`` accepts.  They stop
@@ -59,6 +60,10 @@ DEFAULT_BUDGET = 200_000
 #: they do not promise that every stage finishes quickly below them.
 MAX_STRANDS = 1_000
 MAX_LETTERS = 10_000
+
+#: Largest count of candidate words, ``sum_L (strands-1)^L``, that
+#: ``harness.corpus`` walks; past it the enumeration would not finish.
+MAX_CORPUS_WORDS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -217,30 +222,26 @@ def closure_genus(w: BraidWord) -> int:
 # Length-preserving moves and the breadth-first orbit walk
 # --------------------------------------------------------------------------
 
-def _orbit(u: tuple[int, ...], braids: bool) -> Iterator[tuple[tuple[int, ...], Optional[str]]]:
-    """The words reachable from ``u`` by rotations and distant commutations,
-    and also by braid relations when ``braids`` is set, breadth first,
-    ``u`` first.
+def word_class(w: BraidWord) -> Iterator[tuple[int, ...]]:
+    """The letters of every word related to ``w`` by rotations and distant
+    commutations, breadth first, ``w`` first.  All of them close to the
+    same link.
 
-    Each word comes paired with how it was first reached: ``"shuffle"`` (a
-    rotation or distant commutation), ``"braid"`` (a braid relation
-    ``s_i s_j s_i -> s_j s_i s_j``, ``|i-j| = 1``), or ``None`` for ``u``
-    itself.  A word's neighbours are queued in a fixed order: the rotation
-    by one letter, the distant commutations left to right, then the braid
-    relations left to right.  The walk is lazy: a search that needs at most
-    ``n`` words takes them with ``itertools.islice``.
+    A word's neighbours are queued in a fixed order: the rotation by one
+    letter, then the distant commutations left to right.
     """
+    u = w.letters
     seen = {u}
-    queue = deque([(u, None)])
+    queue = deque([u])
     while queue:
-        v, via = queue.popleft()
-        yield v, via
+        v = queue.popleft()
+        yield v
         n = len(v)
         if n > 1:
             nb = v[1:] + v[:1]
             if nb not in seen:
                 seen.add(nb)
-                queue.append((nb, "shuffle"))
+                queue.append(nb)
         # each move is made on a scratch copy of v, read off, and undone
         work = list(v)
         for j in range(n - 1):
@@ -251,23 +252,7 @@ def _orbit(u: tuple[int, ...], braids: bool) -> Iterator[tuple[tuple[int, ...], 
                 work[j], work[j + 1] = a, b
                 if nb not in seen:
                     seen.add(nb)
-                    queue.append((nb, "shuffle"))
-        if braids:
-            for j in range(n - 2):
-                a, b = work[j], work[j + 1]
-                if work[j + 2] == a and (a - b == 1 or b - a == 1):
-                    work[j], work[j + 1], work[j + 2] = b, a, b
-                    nb = tuple(work)
-                    work[j], work[j + 1], work[j + 2] = a, b, a
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append((nb, "braid"))
-
-
-def word_class(w: BraidWord) -> Iterator[tuple[int, ...]]:
-    """The letters of every word related to ``w`` by rotations and distant
-    commutations, ``w`` first.  All of them close to the same link."""
-    return (v for v, _ in _orbit(w.letters, braids=False))
+                    queue.append(nb)
 
 
 def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
@@ -363,6 +348,100 @@ def _adjacent_pair(u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     return (i, i) + r[1:k] + r[k + 1:]
 
 
+def _reduced_word(at: list[int]) -> tuple[int, ...]:
+    """A reduced word whose letters take the strands from positions
+    ``0, 1, ..., n-1`` to the arrangement ``at`` (the strand at each
+    position).
+
+    Bubble sort takes ``at`` back to the identity by swaps of adjacent
+    positions, one per inverted pair; replayed backwards, those swaps are
+    the word.  Each pass stops at the last swap of the pass before, and
+    the passes start past the strands already in place, which never move.
+    Which reduced word comes back shapes the skein trees built on it: on
+    T(6,7), bubble sort leaves 14,007 Conway memo entries where insertion
+    sort leaves 37,464.
+    """
+    a = list(at)
+    swaps = []
+    lo = next((p for p, x in enumerate(a) if x != p), len(a))
+    hi = len(a) - 1
+    while hi > lo:
+        last = lo
+        for j in range(lo + 1, hi + 1):
+            if a[j - 1] > a[j]:
+                a[j - 1], a[j] = a[j], a[j - 1]
+                swaps.append(j)
+                last = j
+        hi = last - 1
+    return tuple(reversed(swaps))
+
+
+def _exchange(strands: int, u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """If some pair of strands crosses twice in ``u``, return ``u``
+    rewritten as ``(i, i, ...)``; None when ``u`` is a simple braid.
+
+    Let ``u[k] = i`` be the first letter that crosses a pair a second time.
+    The prefix ``u[:k]`` crosses no pair twice, so it is a reduced word of
+    its permutation ``pi``, and by the exchange property ``pi`` also has a
+    reduced word ``v s_i``: ``v`` is ``_reduced_word`` of the arrangement
+    after ``u[k]``.  Two reduced words of one permutation are related by
+    braid relations and distant commutations (Tits-Matsumoto), so ``u`` is
+    ``v s_i s_i u[k+1:]`` up to those moves, and the result is its rotation
+    ``s_i s_i u[k+1:] v``.  Cost O(len + strands**2).
+    """
+    at = list(range(strands))
+    for k, i in enumerate(u):
+        crossed = at[i - 1] > at[i]
+        at[i - 1], at[i] = at[i], at[i - 1]
+        if crossed:
+            return (i, i) + u[k + 1:] + _reduced_word(at)
+    return None
+
+
+def _simple_conjugate_square(w: BraidWord, budget: int) -> Optional[tuple[int, ...]]:
+    """A doubled crossing in a rotation of the simple braid ``w``, found by
+    a breadth-first walk over its simple conjugates; None when the first
+    ``budget`` conjugates hold none, or when every conjugate is simple.
+
+    A simple braid is its permutation (all its positive words are the
+    reduced words of that permutation), so the walk's nodes are strand
+    arrangements.  The rotations of ``pi`` are ``x' s_j`` for each ``j``
+    that some reduced word ``s_j x'`` of ``pi`` starts with: the strands
+    ``j-1`` and ``j`` have crossed.  Relabelling them drops the leading
+    ``s_j``, and swapping positions ``j-1, j`` appends it.  When that last
+    letter crosses a pair a second time, the rotation is not simple and
+    ``_exchange`` on it returns ``(j, j) + _reduced_word(..)``; otherwise
+    the rotation is the next simple conjugate.  Words first reached by
+    moves inside the orbit are reduced words of these nodes until a
+    rotation leaves the simple braids, so the walk misses no square that
+    the word orbit holds.
+    """
+    strands = w.strands
+    seen = {permutation_of(w)}
+    queue = deque(seen)
+    for _ in range(budget):
+        if not queue:
+            break
+        at = queue.popleft()
+        place = [0] * strands
+        for p, s in enumerate(at):
+            place[s] = p
+        for j in range(1, strands):
+            if place[j - 1] < place[j]:
+                continue
+            nb = list(at)
+            nb[place[j - 1]], nb[place[j]] = j, j - 1
+            crossed = nb[j - 1] > nb[j]
+            nb[j - 1], nb[j] = nb[j], nb[j - 1]
+            if crossed:
+                return (j, j) + _reduced_word(nb)
+            nb = tuple(nb)
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return None
+
+
 #: ``find_adjacent_square`` results, as letters, keyed on
 #: ``(strands, letters, budget)``.  Both skein routes resolve the same
 #: words, so each search runs once.
@@ -372,21 +451,25 @@ _square_cache: dict[tuple[int, tuple[int, ...], int], Optional[tuple[int, ...]]]
 def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional[BraidWord]:
     """Rewrite ``w`` into the form ``s_i s_i b`` without changing the closure.
 
-    Returns ``None`` when the closure is an unlink (genus 0, where no such
-    doubled crossing can exist) or when the first ``budget`` words of the
-    move orbit hold none.  A non-positive ``budget`` raises ``ValueError``
-    once the word is known to have positive genus, whether or not the
-    result is already in ``_square_cache``.
+    The result is a word of the same length in ``w``'s orbit under
+    rotations, distant commutations and braid relations.  Three steps run
+    in turn, each only when the one before missed:
 
-    The search walks the move orbit breadth first and counts every visited
-    word against ``budget``, but checks only ``w`` and the words first
-    reached by a braid relation.  A word first reached by a
-    rotation or distant commutation is a shuffle of a word visited
-    earlier, whose check missed (the search would have stopped there), and
-    ``_adjacent_pair`` hits on a word exactly when it hits on its
-    shuffles.  So the first word in breadth-first order whose check hits
-    is never a skipped one, and the result is the one that checking every
-    word would return.  The result is kept in ``_square_cache``, so each
+    1. ``_adjacent_pair``: two occurrences of some ``i`` already sit
+       cyclically next to each other among the letters ``i-1, i, i+1``.
+    2. ``_exchange``: some strand pair crosses twice; the exchange property
+       writes the first such crossing next to the one before it, in
+       O(len + strands**2).
+    3. ``_simple_conjugate_square``: ``w`` is a simple braid; walk its
+       simple conjugates breadth first, counting each visited one against
+       ``budget``.
+
+    Returns ``None`` when the closure is an unlink (genus 0, where no such
+    doubled crossing can exist), when the first ``budget`` simple
+    conjugates hold none, or when every conjugate of ``w`` is simple.  A
+    non-positive ``budget`` raises ``ValueError`` once the word is known
+    to have positive genus, whether or not the result is already in
+    ``_square_cache``.  The result is kept in ``_square_cache``, so each
     ``(strands, letters, budget)`` is searched once per process.
     """
     if not w.is_connected:
@@ -396,14 +479,12 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     require_budget(budget)
     key = (w.strands, w.letters, budget)
     if key not in _square_cache:
-        hit = None
-        for u, via in islice(_orbit(w.letters, braids=True), budget):
-            if via == "shuffle":
-                continue
-            hit = _adjacent_pair(u)
-            if hit is not None:
-                break
-        _square_cache[key] = hit
+        u = w.letters
+        _square_cache[key] = (
+            _adjacent_pair(u)
+            or _exchange(w.strands, u)
+            or _simple_conjugate_square(w, budget)
+        )
     hit = _square_cache[key]
     return None if hit is None else BraidWord(w.strands, hit)
 

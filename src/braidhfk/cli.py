@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="doubled-crossing search budget (visited words); "
+                       help="doubled-crossing search budget (visited simple conjugates); "
                             "also caps the Kauffman state table (live entries) "
                             "and the states listing (backtracking nodes)")
 

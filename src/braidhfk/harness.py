@@ -21,6 +21,8 @@ from .alexander import EngineFailure, alexander_burau, hfk_euler
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
+    MAX_CORPUS_WORDS,
+    RangeError,
     decompose,
     parse_serialized,
     require_size,
@@ -138,10 +140,19 @@ def corpus(max_strands: int, max_len: int) -> list[BraidWord]:
     """All words on ``max_strands`` strands of length <= ``max_len``, one per
     rotation/commutation class: the lex-least member, since each class is
     met first there when the words of one length are walked in lex order.
-    Shorter words come first."""
+    Shorter words come first.  ``RangeError`` when more than
+    ``MAX_CORPUS_WORDS`` words would be walked."""
     if max_strands < 2:
         raise ValueError("corpus needs at least 2 strands")
     require_size(max_strands, max_len)
+    walked, count = 0, 1
+    for _ in range(max_len + 1):
+        walked += count
+        if walked > MAX_CORPUS_WORDS:
+            raise RangeError(
+                f"corpus({max_strands}, {max_len}) would walk more than {MAX_CORPUS_WORDS} words"
+            )
+        count *= max_strands - 1
     alphabet = tuple(range(1, max_strands))
     words: list[BraidWord] = []
     for length in range(max_len + 1):

@@ -1,12 +1,14 @@
 """Reference doubled-crossing search that checks every visited word.
 
-This is the loop ``braidword.find_adjacent_square`` ran before it
-skipped the words first reached by a rotation or distant commutation,
-cached its results and built each word's neighbours inside the walk.  It
-carries its own copy of the orbit walk, one generator per move family,
-and its own copy of the doubled-crossing check, in the form that builds
-the gap between each pair of consecutive occurrences, so it shares
-nothing but ``BraidWord`` and ``closure_genus`` with the code it checks.
+This is the breadth-first walk over the whole move orbit (rotations,
+distant commutations and braid relations) that ``braidword.find_adjacent_square``
+ran before it wrote the square down by the exchange property.  The tests
+check that every square the package returns lies in ``reference_orbit``,
+and that one is found exactly when this search finds one.  It carries
+its own copy of the orbit walk, one generator per move family, and its
+own copy of the doubled-crossing check, in the form that builds the gap
+between each pair of consecutive occurrences, so it shares nothing but
+``BraidWord`` and ``closure_genus`` with the code it checks.
 """
 
 from collections import deque

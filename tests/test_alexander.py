@@ -305,9 +305,10 @@ class TestSecondCoefficient:
         from braidhfk import alexander
 
         alexander.clear_caches()
-        # prime word needing a braid move; budget 1 exhausts instantly
+        # a prime simple braid, on which no reduction fires: its walk over
+        # simple conjugates needs a second node, past a budget of 1
         with pytest.raises(EngineFailure):
-            conway(BraidWord(3, (1, 2, 1, 2, 1, 2)), budget=1)
+            conway(BraidWord(5, (4, 2, 3, 4, 1, 2, 3, 1)), budget=1)
         alexander.clear_caches()
 
 

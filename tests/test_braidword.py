@@ -28,7 +28,7 @@ from braidhfk.braidword import (
 from braidhfk.alexander import alexander_burau, conway
 from braidhfk.harness import connected_sum, corpus, torus, verify
 from decompose_oracle import decompose_by_search
-from square_oracle import _shuffles, reference_orbit, square_by_checking_every_word
+from square_oracle import ALL_MOVES, _shuffles, reference_orbit, square_by_checking_every_word
 
 
 @st.composite
@@ -191,8 +191,7 @@ class TestCanonicalKey:
 
     def test_word_class_walks_like_the_reference(self):
         # canonical_key and corpus read only the set of words, so a change
-        # of order would not show in them; find_adjacent_square's result
-        # depends on the order of the same walk with braid relations
+        # of the breadth-first order word_class promises would not show in them
         for w in corpus(3, 8) + corpus(4, 7):
             reference = [v for v, _ in reference_orbit(w.letters, (_shuffles,))]
             assert list(word_class(w)) == reference
@@ -353,12 +352,20 @@ class TestFindAdjacentSquare:
 
     @pytest.mark.parametrize("budget", [1, 2, 5, 17, DEFAULT_BUDGET])
     def test_same_square_as_checking_every_word(self, budget):
-        # the search checks only the start word and the words first reached
-        # by a braid relation; the first hit, and running out, must not move
-        words = [w for w in corpus(4, 8) if w.is_connected and closure_genus(w) > 0]
-        words += [torus(4, 5), torus(6, 3)]
+        # the rewrite is a word of the move orbit, and with the default
+        # budget a square turns up exactly when checking every word of the
+        # orbit finds one; a smaller budget only turns squares into None
+        words = [w for w in corpus(4, 7) + corpus(5, 5) if w.is_connected and closure_genus(w) > 0]
+        words.append(BraidWord(7, (6, 5, 1, 2, 3, 4, 3)))  # its walk visits 20 conjugates
+        full = [find_adjacent_square(w) for w in words]
+        assert [sq is None for sq in full] == [
+            square_by_checking_every_word(w, DEFAULT_BUDGET) is None for w in words
+        ]
         found = [find_adjacent_square(w, budget) for w in words]
-        assert found == [square_by_checking_every_word(w, budget) for w in words]
+        for w, sq, sq_full in zip(words, found, full):
+            assert sq is None or sq == sq_full
+            if sq is not None:
+                assert sq.letters in {v for v, _ in reference_orbit(w.letters, ALL_MOVES)}
         if budget < DEFAULT_BUDGET:
             assert None in found  # some searches run out of budget
 
@@ -368,26 +375,28 @@ class TestFindAdjacentSquare:
         # count, and verify passes one budget, so the letters are the key.
         from braidhfk import alexander, braidword, hfk
 
-        walks = Counter()
-        orbit = braidword._orbit
+        # the one-pass check is the first step of every search
+        searches = Counter()
+        first_step = braidword._adjacent_pair
 
-        def counting(u, braids):
-            if braids:
-                walks[u] += 1
-            return orbit(u, braids)
+        def counting(u):
+            searches[u] += 1
+            return first_step(u)
 
-        monkeypatch.setattr(braidword, "_orbit", counting)
+        monkeypatch.setattr(braidword, "_adjacent_pair", counting)
         braidword._square_cache.clear()
         alexander.clear_caches()
         hfk.clear_caches()
         verify(torus(6, 3))
-        assert walks and max(walks.values()) == 1
+        assert searches and max(searches.values()) == 1
 
     def test_warm_table_keeps_each_budget_apart(self):
-        w = torus(4, 5)
-        find_adjacent_square(w)
-        for budget in (1, 5):
-            assert find_adjacent_square(w, budget) == square_by_checking_every_word(w, budget)
+        # a simple braid: no square until the walk reaches its third conjugate
+        w = BraidWord(5, (1, 2, 3, 2, 4))
+        full = find_adjacent_square(w)
+        assert full is not None
+        for budget, expected in [(1, None), (2, None), (3, full)]:
+            assert find_adjacent_square(w, budget) == expected
 
     def test_warm_table_still_rejects_a_bad_budget(self):
         w = torus(4, 5)

@@ -205,10 +205,13 @@ class TestFamilyAndRings:
         ("rn", "2"),
         ("corpus", "--strands", "1", "--len", "2"),
         ("corpus", "--strands", "1001", "--len", "1"),
+        ("corpus", "--strands", "4", "--len", "40"),  # 3^40 words to walk
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

@@ -11,8 +11,11 @@ from braidhfk.braidword import (
     BraidWord,
     RangeError,
     canonical_key,
+    closure_genus,
     decompose,
 )
+from braidhfk.alexander import alexander_burau, hfk_euler
+from braidhfk.hfk import next_to_top_via_skein, predicted_next_to_top
 from braidhfk.harness import (
     BadParamsError,
     UnknownFamilyError,
@@ -98,6 +101,11 @@ class TestCorpus:
             corpus(MAX_STRANDS + 1, 1)
         with pytest.raises(RangeError):
             corpus(2, MAX_LETTERS + 1)
+        with pytest.raises(RangeError, match="more than"):
+            corpus(4, 40)
+        # walking 97,656 and 87,381 words, these stay under the bound
+        assert len(corpus(6, 7)) == 1551
+        assert len(corpus(5, 8)) == 1651
         # the bound leaves the acceptance corpus as it was
         assert len(corpus(4, 10)) == 2749
 
@@ -144,6 +152,22 @@ class TestVerify:
         r = verify(torus(p, q))
         assert r.overall_pass, [k for k, v in r.checks.items() if not v]
         assert r.prime_count == 1
+
+    # verify failed these in the doubled-crossing search while it walked
+    # word orbits; the exchange rewrite finds their squares without a walk
+    @pytest.mark.parametrize("p, q", [(7, 3), (8, 2), (8, 3)])
+    def test_torus_words_past_the_word_orbit_search_pass(self, p, q):
+        r = verify(torus(p, q))
+        assert r.overall_pass, [k for k, v in r.checks.items() if not v]
+
+    def test_both_skein_routes_reach_t67(self):
+        w = torus(6, 7)
+        assert hfk_euler(w) == alexander_burau(w)
+        lc = decompose(w)
+        expected = predicted_next_to_top(
+            lc.prime_count, lc.split_count, lc.components, closure_genus(w)
+        )
+        assert next_to_top_via_skein(w) == expected
 
     def test_kauffman_never_lists_states(self, monkeypatch):
         from braidhfk import harness, kauffman

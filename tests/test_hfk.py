@@ -178,7 +178,8 @@ class TestSkeinRecursion:
 
         hfk.clear_caches()
         with pytest.raises(UnverifiableError):
-            next_to_top_via_skein(BraidWord(3, (1, 2, 1, 2, 1, 2)), budget=1)
+            # a simple braid whose walk over simple conjugates needs 3 nodes
+            next_to_top_via_skein(BraidWord(5, (1, 2, 3, 2, 4)), budget=1)
         hfk.clear_caches()
 
 

@@ -16,13 +16,27 @@ from hypothesis import strategies as st
 
 from braidhfk import alexander, hfk
 from braidhfk.alexander import _pack, _unpack, alexander_burau, conway, hfk_euler
-from braidhfk.braidword import BraidWord, _adjacent_pair, closure_components, closure_genus
+from braidhfk.braidword import (
+    DEFAULT_BUDGET,
+    BraidWord,
+    _adjacent_pair,
+    _exchange,
+    closure_components,
+    closure_genus,
+    find_adjacent_square,
+)
 from braidhfk.harness import connected_sum, disjoint_union
 from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
 from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
 from braidhfk.polynomials import HalfLaurent
 from burau_oracle import burau_by_lists
-from square_oracle import _shuffles, adjacent_pair_by_gaps
+from square_oracle import (
+    ALL_MOVES,
+    _shuffles,
+    adjacent_pair_by_gaps,
+    reference_orbit,
+    square_by_checking_every_word,
+)
 
 PROPERTY = settings(max_examples=150)
 
@@ -132,8 +146,8 @@ def test_skein_braid_relation(w, data):
 @settings(max_examples=300)
 @given(words())
 def test_doubled_crossing_check_sees_shuffles(w):
-    # find_adjacent_square skips words first reached by a shuffle because
-    # of exactly this: the check hits on a word iff it hits on its shuffles
+    # the one-pass check reads the rotation/commutation class: it hits on
+    # a word iff it hits on its shuffles
     missed = _adjacent_pair(w.letters) is None
     for v in _shuffles(w.letters):
         assert (_adjacent_pair(v) is None) == missed
@@ -148,6 +162,55 @@ def test_doubled_crossing_check_sees_shuffles(w):
 @example(BraidWord(2, (1,)))  # one occurrence never pairs with its own copy
 def test_one_pass_check_matches_the_gap_check(w):
     assert _adjacent_pair(w.letters) == adjacent_pair_by_gaps(w.letters)
+
+
+@st.composite
+def connected_words(draw, max_strands=5, max_len=8):
+    """Every generator at least once, in a random order with extra letters."""
+    n = draw(st.integers(2, max_strands))
+    extra = draw(st.lists(st.integers(1, n - 1), max_size=max_len - (n - 1)))
+    return BraidWord(n, tuple(draw(st.permutations(list(range(1, n)) + extra))))
+
+
+@st.composite
+def nearly_simple_words(draw, max_strands=5):
+    """A reduced word of a random permutation, read off a bubble sort, with
+    at most one extra letter put in: simple braids and words in which one
+    pair of strands crosses twice, which the one-pass check mostly misses."""
+    n = draw(st.integers(3, max_strands))
+    at = draw(st.permutations(range(n)))
+    swaps = []
+    for end in range(n - 1, 0, -1):
+        for j in range(1, end + 1):
+            if at[j - 1] > at[j]:
+                at[j - 1], at[j] = at[j], at[j - 1]
+                swaps.append(j)
+    letters = swaps[::-1]
+    if draw(st.booleans()):
+        letters.insert(draw(st.integers(0, len(letters))), draw(st.integers(1, n - 1)))
+    w = BraidWord(n, tuple(letters))
+    assume(w.is_connected)
+    return w
+
+
+@settings(max_examples=300)
+@given(st.one_of(connected_words(), nearly_simple_words()))
+@example(BraidWord(3, (1, 2, 1, 2)))  # a pair of strands crosses twice
+@example(BraidWord(5, (1, 2, 3, 2, 4)))  # simple: the walk reaches a third conjugate
+@example(BraidWord(5, (4, 2, 3, 4, 1, 2, 3, 1)))  # simple and prime
+def test_square_lies_in_the_move_orbit(w):
+    orbit = {v for v, _ in reference_orbit(w.letters, ALL_MOVES)}
+    # the exchange rewrite on its own, also where the one-pass check hits first
+    hit = _exchange(w.strands, w.letters)
+    if hit is not None:
+        assert len(hit) == len(w) and hit[0] == hit[1] and hit in orbit
+    sq = find_adjacent_square(w)
+    if sq is None:
+        assert closure_genus(w) == 0 or square_by_checking_every_word(w, DEFAULT_BUDGET) is None
+        return
+    assert sq.strands == w.strands and len(sq) == len(w)
+    assert sq.letters[0] == sq.letters[1]
+    assert sq.letters in orbit
 
 
 def joined_up(w):
