@@ -47,7 +47,8 @@ from .polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 
 
 class EngineFailure(RuntimeError):
-    """The skein engine could not expose a doubled crossing within budget."""
+    """The skein engine ran out of budget: a doubled-crossing search, or
+    the memo entries of one skein tree."""
 
 
 # --------------------------------------------------------------------------
@@ -71,8 +72,10 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     ``find_adjacent_square``; every step strictly reduces the crossing
     count, so the recursion terminates.  That search writes the crossing
     down in one pass unless the word is a simple braid, and ``budget``
-    caps the simple conjugates it walks then; ``EngineFailure`` when they
-    run out first.
+    caps the simple conjugates it walks then.  ``budget`` also caps the
+    entries one call adds to the memo table, so that a large skein tree
+    fails instead of exhausting memory.  ``EngineFailure`` when either
+    runs out first.
     """
     require_budget(budget)
     return _conway(w, budget)
@@ -84,20 +87,28 @@ def _conway(w: BraidWord, budget: int) -> ConwayPoly:
     The tree is as deep as the crossing count, so it is walked with an
     explicit stack rather than by recursion: a word is expanded when it
     is first popped, and combined from its sub-words when popped again.
+    Each word's value is stored in one place, where the entries this call
+    added are counted against ``budget``.
     """
+    start = len(_conway_cache)
     stack: list[tuple[BraidWord, Optional[tuple]]] = [(w, None)]
     while stack:
         u, expansion = stack.pop()
         key = (u.strands, u.letters)
         if key in _conway_cache:
             continue
-        if expansion is None:
-            if not u.is_connected:
-                _conway_cache[key] = ConwayPoly.zero()
-                continue
-            if closure_genus(u) == 0:
-                _conway_cache[key] = ConwayPoly.one()
-                continue
+        if expansion is not None:
+            skein, subs = expansion
+            values = [_conway_cache[(sub.strands, sub.letters)] for sub in subs]
+            if skein:
+                result = values[0] + values[1].times_z()
+            else:
+                result = prod(values, start=ConwayPoly.one())
+        elif not u.is_connected:
+            result = ConwayPoly.zero()
+        elif closure_genus(u) == 0:
+            result = ConwayPoly.one()
+        else:
             if (r := immediate_reduction(u.strands, u.letters)) is not None:
                 expansion = (False, tuple(BraidWord(strands, letters) for strands, letters in r))
             else:
@@ -109,15 +120,9 @@ def _conway(w: BraidWord, budget: int) -> ConwayPoly:
             stack.append((u, expansion))
             stack.extend((sub, None) for sub in expansion[1])
             continue
-        skein, subs = expansion
-        values = [_conway_cache[(sub.strands, sub.letters)] for sub in subs]
-        if skein:
-            result = values[0] + values[1].times_z()
-        else:
-            result = ConwayPoly.one()
-            for v in values:
-                result = result * v
         _conway_cache[key] = result
+        if len(_conway_cache) - start > budget:
+            raise EngineFailure(f"skein tree of {w} passed the budget of {budget} memo entries")
     return _conway_cache[(w.strands, w.letters)]
 
 

@@ -442,12 +442,6 @@ def _simple_conjugate_square(w: BraidWord, budget: int) -> Optional[tuple[int, .
     return None
 
 
-#: ``find_adjacent_square`` results, as letters, keyed on
-#: ``(strands, letters, budget)``.  Both skein routes resolve the same
-#: words, so each search runs once.
-_square_cache: dict[tuple[int, tuple[int, ...], int], Optional[tuple[int, ...]]] = {}
-
-
 def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional[BraidWord]:
     """Rewrite ``w`` into the form ``s_i s_i b`` without changing the closure.
 
@@ -468,24 +462,17 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     doubled crossing can exist), when the first ``budget`` simple
     conjugates hold none, or when every conjugate of ``w`` is simple.  A
     non-positive ``budget`` raises ``ValueError`` once the word is known
-    to have positive genus, whether or not the result is already in
-    ``_square_cache``.  The result is kept in ``_square_cache``, so each
-    ``(strands, letters, budget)`` is searched once per process.
+    to have positive genus.  Nothing is memoised: the first two steps cost
+    O(len + strands**2), so each call searches afresh, and the result
+    depends only on ``w`` and ``budget``.
     """
     if not w.is_connected:
         raise ValueError("find_adjacent_square expects a connected word")
     if closure_genus(w) == 0:
         return None
     require_budget(budget)
-    key = (w.strands, w.letters, budget)
-    if key not in _square_cache:
-        u = w.letters
-        _square_cache[key] = (
-            _adjacent_pair(u)
-            or _exchange(w.strands, u)
-            or _simple_conjugate_square(w, budget)
-        )
-    hit = _square_cache[key]
+    u = w.letters
+    hit = _adjacent_pair(u) or _exchange(w.strands, u) or _simple_conjugate_square(w, budget)
     return None if hit is None else BraidWord(w.strands, hit)
 
 

@@ -202,16 +202,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, budget: bool = True) -> None:
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="doubled-crossing search budget (visited simple conjugates); "
-                            "also caps the Kauffman state table (live entries) "
-                            "and the states listing (backtracking nodes)")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="doubled-crossing search budget (visited simple conjugates); "
+                                "also caps the memo entries of one skein Conway tree, "
+                                "the Kauffman state table (live entries) "
+                                "and the states listing (backtracking nodes)")
 
     p = sub.add_parser("info", help="components, split/prime factors, genus")
     p.add_argument("word")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("alexander", help="graded Euler characteristic per engine")
@@ -246,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="construct a named word family")
     p.add_argument("name")
     p.add_argument("params", nargs="*")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("rn", help="next-to-top group of the ring of n unknots")

@@ -20,12 +20,13 @@ The next-to-top Alexander grading is computed two independent ways:
   into the oriented resolution's contribution is injective.  Each
   resolution strictly drops the crossing count.  For a connected
   closure the walk carries one integer, the rank at
-  ``(M, A) = (-1, g-1)``: 0, 2 and 1 at the unknot, the Hopf link and
-  the trefoil, and each step adds 2 (the resolved generator occurs
-  exactly twice), 1 (the oriented resolution has fewer components) or
-  -1 (it has more).  Maslov 0 stays empty (see ``triangle_solve``).  A
-  split closure sums its pieces' ranks and tensors with
-  ``V^(x)(s-1)``.
+  ``(M, A) = (-1, g-1)``.  It starts at 0 on a genus-0 closure (an
+  unknot), the only base case, and each step adds 2 (the resolved
+  generator occurs exactly twice), 1 (the oriented resolution has fewer
+  components) or -1 (it has more); so the Hopf link ``1 1`` gets 2 and
+  the trefoil ``1 1 1`` gets 1 in one step each.  Maslov 0 stays empty
+  (see ``triangle_solve``).  A split closure sums its pieces' ranks and
+  tensors with ``V^(x)(s-1)``.
 
 ``rn_next_to_top`` runs the same triangle step for the rings of ``n``
 linked unknots, whose clasp resolutions are a smaller ring and a
@@ -187,7 +188,7 @@ def triangle_solve(h_rank: int, minus_rank_neg1: int = 0) -> int:
     out of it is injective, so the sequence pins the rank at
     ``h_rank - 1 + minus_rank_neg1``.  The rank at ``(0, g-1)``
     would be inherited unchanged from the oriented resolution's own
-    ``(0, g-1)``; no base case (unknot, Hopf link, trefoil) has one, so
+    ``(0, g-1)``; the only base case, a genus-0 closure, has none, so
     it is zero for every connected closure and is not carried.
     """
     if h_rank < 1:
@@ -212,8 +213,10 @@ def _connected_rank(u: BraidWord, budget: int) -> int:
     Each triangle step needs the rank of its oriented resolution
     ``l_zero``, so the loop first walks down the chain of resolutions to
     a word whose rank is known, then folds the steps back up.  The chain
-    is as long as the crossing count, which is why this is a loop and not
-    a recursion.
+    ends at a memoised word or at genus 0, whose rank is 0; every other
+    rank, the Hopf link's and the trefoil's included, comes from a
+    triangle step.  The chain is as long as the crossing count, which is
+    why this is a loop and not a recursion.
     """
     chain: list[tuple[tuple[int, tuple[int, ...]], SkeinTriple]] = []
     key = (u.strands, u.letters)
@@ -221,22 +224,18 @@ def _connected_rank(u: BraidWord, budget: int) -> int:
         g = closure_genus(u)
         if g == 0:
             _profile_cache[key] = 0
-        elif u.strands == 2 and u.letters == (1, 1):
-            _profile_cache[key] = 2  # positive Hopf link
-        elif u.strands == 2 and u.letters == (1, 1, 1):
-            _profile_cache[key] = 1  # right-handed trefoil
-        else:
-            sq = find_adjacent_square(u, budget)
-            if sq is None:
-                raise UnverifiableError(f"no doubled crossing found within budget for {u}")
-            triple = resolve_square(sq)
-            g_minus = closure_genus(triple.l_minus)
-            g_zero = closure_genus(triple.l_zero)
-            if not (g == g_minus + 1 == g_zero + triple.delta):
-                raise NegativeRankError(f"genus bookkeeping violated at {sq}")
-            chain.append((key, triple))
-            u = triple.l_zero
-            key = (u.strands, u.letters)
+            break
+        sq = find_adjacent_square(u, budget)
+        if sq is None:
+            raise UnverifiableError(f"no doubled crossing found within budget for {u}")
+        triple = resolve_square(sq)
+        g_minus = closure_genus(triple.l_minus)
+        g_zero = closure_genus(triple.l_zero)
+        if not (g == g_minus + 1 == g_zero + triple.delta):
+            raise NegativeRankError(f"genus bookkeeping violated at {sq}")
+        chain.append((key, triple))
+        u = triple.l_zero
+        key = (u.strands, u.letters)
     rank = _profile_cache[key]
     for key, triple in reversed(chain):
         i = triple.l_plus.letters[0]

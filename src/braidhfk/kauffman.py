@@ -115,12 +115,6 @@ def build_diagram(w: BraidWord) -> ClosedBraidDiagram:
         raise MultiComponentError(f"closure of {w} is not a knot")
     n = w.strands
     letters = w.letters
-
-    if n == 1:
-        # crossingless unknot: both regions touch the marked point, and the
-        # empty assignment is the unique state, at bigrading (0, 0)
-        return ClosedBraidDiagram(w, ("inner", "outer"), frozenset({0, 1}), ())
-
     counts = w.generator_counts()
 
     # region ids: 0 = inner disk, then column gaps, last = outer region;
@@ -151,7 +145,8 @@ def build_diagram(w: BraidWord) -> ClosedBraidDiagram:
         seen[i] = j + 1
 
     # marked point on the closure arc of the outermost strand: its inner
-    # neighbour is the column-(n-1) gap that wraps past the end of the word.
+    # neighbour is the column-(n-1) gap that wraps past the end of the word
+    # (the inner disk on one strand, where the empty state is the only one).
     wrap_gap = gap_region[n - 1][-1]
     forbidden = frozenset({outer, wrap_gap})
 

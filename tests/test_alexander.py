@@ -82,6 +82,19 @@ class TestConway:
         assert conway(BraidWord(1, ())) == ConwayPoly.one()
         assert conway(BraidWord(2, (1,))) == ConwayPoly.one()
 
+    def test_budget_caps_the_skein_tree(self):
+        from braidhfk import alexander
+
+        # T(5,6)'s skein tree adds 772 memo entries to an empty table
+        w = torus(5, 6)
+        alexander.clear_caches()
+        with pytest.raises(EngineFailure, match="budget of 500 memo entries"):
+            conway(w, budget=500)
+        alexander.clear_caches()
+        assert hfk_euler(w) == alexander_burau(w)
+        assert len(alexander._conway_cache) == 772
+        alexander.clear_caches()
+
 
 class TestHfkEuler:
     def test_hopf_matches_signed_rank_sum(self):

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from functools import reduce
 
 import pytest
@@ -26,7 +25,7 @@ from braidhfk.braidword import (
     word_class,
 )
 from braidhfk.alexander import alexander_burau, conway
-from braidhfk.harness import connected_sum, corpus, torus, verify
+from braidhfk.harness import connected_sum, corpus, torus
 from decompose_oracle import decompose_by_search
 from square_oracle import ALL_MOVES, _shuffles, reference_orbit, square_by_checking_every_word
 
@@ -369,29 +368,10 @@ class TestFindAdjacentSquare:
         if budget < DEFAULT_BUDGET:
             assert None in found  # some searches run out of budget
 
-    def test_each_search_runs_once_per_verify(self, monkeypatch):
-        # both skein routes resolve the same words; the shared table runs
-        # each search once.  On connected words the letters fix the strand
-        # count, and verify passes one budget, so the letters are the key.
-        from braidhfk import alexander, braidword, hfk
-
-        # the one-pass check is the first step of every search
-        searches = Counter()
-        first_step = braidword._adjacent_pair
-
-        def counting(u):
-            searches[u] += 1
-            return first_step(u)
-
-        monkeypatch.setattr(braidword, "_adjacent_pair", counting)
-        braidword._square_cache.clear()
-        alexander.clear_caches()
-        hfk.clear_caches()
-        verify(torus(6, 3))
-        assert searches and max(searches.values()) == 1
-
     def test_warm_table_keeps_each_budget_apart(self):
-        # a simple braid: no square until the walk reaches its third conjugate
+        # a simple braid: no square until the walk reaches its third conjugate.
+        # Nothing is memoised, so an earlier call at another budget cannot
+        # leak into a later one.
         w = BraidWord(5, (1, 2, 3, 2, 4))
         full = find_adjacent_square(w)
         assert full is not None

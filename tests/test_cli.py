@@ -173,6 +173,13 @@ class TestFamilyAndRings:
         assert code == 0
         assert out.strip() == "strands=3: 1 1 2 2 2"
 
+    @pytest.mark.parametrize("argv", [("info", "1 1"), ("family", "torus", "2", "3")])
+    def test_budget_only_where_it_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
     def test_rn(self, capsys):
         code, out, _ = run(capsys, "rn", "5", "--json")
         payload = json.loads(out)

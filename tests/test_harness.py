@@ -238,20 +238,38 @@ class TestVerify:
         assert "elapsed" in verify(BraidWord(2, (1, 1))).to_json(include_timing=True)
 
 
+def load_worker():
+    """``perfbench/worker.py``, which imports only the standard library at
+    module level."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
 class TestTracedBenchmark:
     def test_worker_layers_resolve_on_harness(self):
         # perfbench/worker.py --trace wraps these names on harness with a
-        # bare getattr; it imports only the standard library at module level
+        # bare getattr
         from braidhfk import harness
 
-        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-        worker = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(worker)
+        worker = load_worker()
         names = [name for layer in worker.LAYERS.values() for name in layer]
         assert names
         for name in names:
             assert callable(getattr(harness, name, None)), name
+
+    def test_worker_memos_count_the_route_tables(self):
+        # the traced counters read each table with getattr and a default,
+        # so a table moved elsewhere would read 0 rather than fail
+        from braidhfk import alexander, hfk
+
+        modules = {"alexander": alexander, "hfk": hfk}
+        routes = {name: spec for name, spec in load_worker().MEMOS.items() if spec[0] in modules}
+        assert set(routes) == {"alexander.conway_memo", "hfk.profile_memo"}
+        for name, (mod, attr) in routes.items():
+            assert isinstance(getattr(modules[mod], attr, None), dict), name
 
 
 def test_exports_are_exactly_the_package_imports():

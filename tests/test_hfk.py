@@ -130,6 +130,19 @@ class TestSkeinRecursion:
         assert next_to_top_via_skein(BraidWord(2, (1, 1))) == BigradedRank({(-1, 0): 2})
         assert next_to_top_via_skein(BraidWord(2, (1, 1, 1))) == BigradedRank({(-1, 0): 1})
 
+    def test_hopf_and_trefoil_are_one_step_from_the_unknot(self):
+        # genus 0 is the only base case: from empty tables, the Hopf link's
+        # rank 2 and the trefoil's rank 1 are triangle steps from 1 on two
+        # strands, which is memoised at rank 0
+        from braidhfk import hfk
+
+        for letters, chain in [((1, 1), {(1, 1): 2, (1,): 0}),
+                               ((1, 1, 1), {(1, 1, 1): 1, (1, 1): 2, (1,): 0})]:
+            hfk.clear_caches()
+            next_to_top_via_skein(BraidWord(2, letters))
+            assert hfk._profile_cache == {(2, k): v for k, v in chain.items()}
+        hfk.clear_caches()
+
     def test_t24(self):
         assert next_to_top_via_skein(torus(2, 4)) == BigradedRank({(-1, 1): 2})
 

@@ -109,8 +109,9 @@ class TestEnumerateStates:
         assert [(s.maslov, s.alexander) for s in states] == [(0, 0)]
 
     def test_crossingless_unknot(self):
+        # built by the general path: both regions touch the marked point
         d = build_diagram(BraidWord(1, ()))
-        assert d.region_count == 2 and len(d.forbidden) == 2
+        assert (d.region_names, d.forbidden, d.slots) == (("inner", "outer"), {0, 1}, ())
         states = enumerate_states(d)
         assert [(s.maslov, s.alexander) for s in states] == [(0, 0)]
 

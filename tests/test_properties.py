@@ -1,7 +1,7 @@
 """Property tests: the Burau, skein and Kauffman engines see closures, not
 words, the doubled-crossing check sees rotation/commutation classes, the
-Kauffman sweep counts what the enumerator lists, and the engines obey the
-connected-sum and disjoint-union laws.
+Kauffman sweep counts what the enumerator lists, the engines obey the
+connected-sum and disjoint-union laws, and random words pass ``verify``.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
@@ -25,7 +25,7 @@ from braidhfk.braidword import (
     closure_genus,
     find_adjacent_square,
 )
-from braidhfk.harness import connected_sum, disjoint_union
+from braidhfk.harness import connected_sum, disjoint_union, verify
 from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
 from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
 from braidhfk.polynomials import HalfLaurent
@@ -325,3 +325,11 @@ def test_euler_vanishes_on_disjoint_union(a, b):
     w = disjoint_union(a, b)
     assert hfk_euler(w) == HalfLaurent.zero()
     assert alexander_burau(w) == HalfLaurent.zero()
+
+
+@settings(max_examples=300)
+@given(words(max_strands=5, max_len=12))
+def test_random_words_pass_verify(w):
+    # every engine on one word, and every cross-check between them
+    report = verify(w)
+    assert report.overall_pass, report.render_text()
