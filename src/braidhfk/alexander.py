@@ -1,11 +1,25 @@
 """Two independent Alexander polynomial engines for positive braid closures.
 
-``conway`` resolves doubled crossings with the oriented skein relation
-``nabla(L+) = nabla(L-) + z * nabla(L0)``.  It reads splitness and the
-unknot off the word, and it splits off a summand wherever one of the
-destabilisations and cuts of ``immediate_reduction`` fires; Burau checks
-those cuts, since a wrong one changes the product.  It never calls
-``decompose``.
+``conway`` takes the trace of the word in the Hecke algebra, whose
+generators satisfy ``T_i^2 = 1 + z T_i``.  That is the oriented skein
+relation ``nabla(L+) = nabla(L-) + z * nabla(L0)`` read on braids, as
+Jones (Ann. Math. 126, 1987) and Morton-Short (J. Algorithms 11, 1990)
+read it: ``T_i - T_i^(-1) = z``.  A left-to-right sweep writes the word
+in the basis ``T_pi`` of permutations.  At a letter ``i`` each term moves
+to ``pi s_i``, and when the two strands it crosses have crossed before,
+``z`` times the term also stays where it was.  The trace destabilises the
+vector one strand at a time, by conjugation and positive Markov moves,
+down to one strand (see ``conway``).  Every coefficient is a sum of
+non-negative terms, and each product with a ``T_i`` at most doubles the
+sum of all coefficients of the vector.  The sweep takes ``len`` products
+and the trace ``(n-1)(n-2)/2``, so with ``bits = len + (n-1)(n-2)/2 + 2``
+every coefficient is at most ``2**(bits-2)``, and each ``Z[z]`` value is
+kept as one integer, its value at ``z = 2**bits``, with no borrows.  The
+route never calls ``decompose`` and takes none of the destabilisations
+and cuts of ``immediate_reduction``.  Those cuts are now checked only by
+``factor_product`` (Burau's multiplicativity) and, through the prime
+count ``p``, by ``second_coefficient`` and ``formula_matches_recursion``;
+the skein product no longer checks them.
 ``alexander_burau`` is the classical matrix route: the determinant of
 ``reduced_burau(word) - I`` divided by ``1 + t + ... + t^(n-1)``.  It
 packs each entry of ``Z[t]`` into one integer, its value at
@@ -31,99 +45,115 @@ and Burau multiplies by ``(t - 1)^(components - 1)`` and centres.
 from __future__ import annotations
 
 from math import isqrt, prod
-from typing import Optional
+from operator import itemgetter
 
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
     closure_components,
-    closure_genus,
-    find_adjacent_square,
-    immediate_reduction,
     require_budget,
-    resolve_square,
 )
 from .polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 
 
 class EngineFailure(RuntimeError):
-    """The skein engine ran out of budget: a doubled-crossing search, or
-    the memo entries of one skein tree."""
+    """The skein engine ran out of budget: after some letter of the sweep,
+    or while destabilising some strand, a table of the Hecke sweep held
+    more than ``budget`` strand arrangements.  The size of every table
+    depends only on the word, so whether a word fails does not depend on
+    what ran before it."""
 
 
 # --------------------------------------------------------------------------
-# Skein-recursion engine
+# Hecke-algebra skein engine
 # --------------------------------------------------------------------------
 
-_conway_cache: dict[tuple[int, tuple[int, ...]], ConwayPoly] = {}
+def _times_t(table: dict[tuple[int, ...], int], i: int, n: int, bits: int) -> dict[tuple[int, ...], int]:
+    """``table`` times ``T_i``, where ``T_i`` swaps entries ``i-1`` and ``i``
+    of each key, a tuple of length ``n``.
+
+    Read as the strand at each position, this is right multiplication:
+    ``T_pi T_i`` is ``T_(pi s_i)`` when the two strands meet for the first
+    time, and ``T_(pi s_i) + z T_pi`` when they have crossed already
+    (``key[i-1] > key[i]``), since ``T_i^2 = 1 + z T_i``.  Read as the
+    position of each strand, it is left multiplication by the same rule.
+    Swapping is an involution, so each key of the result is assigned once.
+    """
+    out = {}
+    order = list(range(n))
+    order[i - 1], order[i] = i, i - 1
+    swap = itemgetter(*order)
+    for key, c in table.items():
+        swapped = swap(key)
+        if key[i - 1] > key[i]:
+            out[swapped] = c
+            out[key] = table.get(swapped, 0) + (c << bits)
+        elif swapped not in table:
+            out[swapped] = c
+    return out
 
 
-def clear_caches() -> None:
-    _conway_cache.clear()
+def _require_entries(table: dict, budget: int, w: BraidWord, where: str) -> None:
+    if len(table) > budget:
+        raise EngineFailure(f"Hecke sweep of {w} passed the budget of {budget} entries {where}")
 
 
 def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
-    """Conway polynomial of the closure via the skein recursion.
+    """Conway polynomial of the closure, as the trace of the word in the
+    Hecke algebra.
 
-    Split closures give 0 and unknots give 1.  When a destabilisation or
-    a cut of ``immediate_reduction`` fires, the result is the product over
-    the pieces, since Conway is multiplicative under connected sum.
-    Everything else resolves at a doubled crossing found by
-    ``find_adjacent_square``; every step strictly reduces the crossing
-    count, so the recursion terminates.  That search writes the crossing
-    down in one pass unless the word is a simple braid, and ``budget``
-    caps the simple conjugates it walks then.  ``budget`` also caps the
-    entries one call adds to the memo table, so that a large skein tree
-    fails instead of exhausting memory.  ``EngineFailure`` when either
-    runs out first.
+    The sweep reads the letters left to right and keeps the word's image
+    in the basis ``T_pi`` of permutations: a dict from strand arrangements
+    (the strand at each position) to packed ``Z[z]`` coefficients, updated
+    by ``_times_t``.
+
+    The trace then removes one strand per level.  On ``m`` strands, a key
+    read as the strand at each position, whose top position holds strand
+    ``k``, is ``T_(k+1) ... T_(m-1) T_pi'`` with ``pi'`` the arrangement of
+    the other strands; conjugation and positive Markov destabilisation
+    turn it into ``T_pi' T_(k+1) ... T_(m-2)`` on ``m-1`` strands.  A key
+    read as the position of each strand, whose top strand sits at ``k``,
+    is ``T_pi' T_(m-1) ... T_(k+1)`` and turns into ``T_(m-2) ... T_(k+1)
+    T_pi'``.  Either way a key that ends in ``m-1`` is a split closure and
+    is dropped, and the others, grouped by their last entry ``k`` with it
+    removed and the entries above it lowered, form vectors ``W_k``.  The
+    vector on ``m-1`` strands is then ``W_(m-2) + T_(m-2)(W_(m-3) + ... +
+    T_1 W_0)`` in the second reading, and the same with products on the
+    right in the first, one ``_times_t`` per step.  Each level inverts
+    every key when that makes the smallest last entry larger, since that
+    saves products.  At one strand the one coefficient is the polynomial.
+    Split words give 0 before the sweep.
+
+    ``budget`` caps the entries of every table, the sweep's after each
+    letter and the trace's after each product; ``EngineFailure`` names
+    the letter or the strand where one first held more.
     """
     require_budget(budget)
-    return _conway(w, budget)
-
-
-def _conway(w: BraidWord, budget: int) -> ConwayPoly:
-    """Fold the skein tree over the memo table in post-order.
-
-    The tree is as deep as the crossing count, so it is walked with an
-    explicit stack rather than by recursion: a word is expanded when it
-    is first popped, and combined from its sub-words when popped again.
-    Each word's value is stored in one place, where the entries this call
-    added are counted against ``budget``.
-    """
-    start = len(_conway_cache)
-    stack: list[tuple[BraidWord, Optional[tuple]]] = [(w, None)]
-    while stack:
-        u, expansion = stack.pop()
-        key = (u.strands, u.letters)
-        if key in _conway_cache:
-            continue
-        if expansion is not None:
-            skein, subs = expansion
-            values = [_conway_cache[(sub.strands, sub.letters)] for sub in subs]
-            if skein:
-                result = values[0] + values[1].times_z()
-            else:
-                result = prod(values, start=ConwayPoly.one())
-        elif not u.is_connected:
-            result = ConwayPoly.zero()
-        elif closure_genus(u) == 0:
-            result = ConwayPoly.one()
-        else:
-            if (r := immediate_reduction(u.strands, u.letters)) is not None:
-                expansion = (False, tuple(BraidWord(strands, letters) for strands, letters in r))
-            else:
-                sq = find_adjacent_square(u, budget)
-                if sq is None:
-                    raise EngineFailure(f"no doubled crossing found within budget for {u}")
-                triple = resolve_square(sq)
-                expansion = (True, (triple.l_minus, triple.l_zero))
-            stack.append((u, expansion))
-            stack.extend((sub, None) for sub in expansion[1])
-            continue
-        _conway_cache[key] = result
-        if len(_conway_cache) - start > budget:
-            raise EngineFailure(f"skein tree of {w} passed the budget of {budget} memo entries")
-    return _conway_cache[(w.strands, w.letters)]
+    if not w.is_connected:
+        return ConwayPoly.zero()
+    n = w.strands
+    bits = len(w.letters) + (n - 1) * (n - 2) // 2 + 2
+    table = {tuple(range(n)): 1}
+    for k, i in enumerate(w.letters, 1):
+        table = _times_t(table, i, n, bits)
+        _require_entries(table, budget, w, f"after letter {k}")
+    for m in range(n, 1, -1):
+        top = m - 1
+        if min((key.index(top) for key in table), default=0) > min((key[top] for key in table), default=0):
+            table = {tuple(map(key.index, range(m))): c for key, c in table.items()}
+        groups: list[dict[tuple[int, ...], int]] = [{} for _ in range(top)]
+        for key, c in table.items():
+            k = key[top]
+            if k < top:
+                groups[k][tuple(x - (x > k) for x in key[:top])] = c
+        table = groups[0]
+        for j in range(1, top):
+            if table:
+                table = _times_t(table, j, top, bits)
+            for key, c in groups[j].items():
+                table[key] = table.get(key, 0) + c
+            _require_entries(table, budget, w, f"destabilising strand {m}")
+    return ConwayPoly(_unpack(table.get((0,), 0), bits))
 
 
 def hfk_euler(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:

@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="doubled-crossing search budget (visited simple conjugates); "
-                                "also caps the memo entries of one skein Conway tree, "
+                                "also caps each table of the skein Conway sweep, "
                                 "the Kauffman state table (live entries) "
                                 "and the states listing (backtracking nodes)")
 

@@ -14,9 +14,10 @@ from braidhfk.alexander import (
     hfk_euler,
 )
 from braidhfk.braidword import BraidWord, closure_components, closure_genus
-from braidhfk.harness import connected_sum, disjoint_union, figure3, torus
+from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, torus
 from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 from burau_oracle import burau_by_lists, euler_bridge, normalize_symmetric
+from skein_tree_oracle import conway_by_skein_tree
 
 
 def torus_alexander_oracle(p, q):
@@ -82,18 +83,37 @@ class TestConway:
         assert conway(BraidWord(1, ())) == ConwayPoly.one()
         assert conway(BraidWord(2, (1,))) == ConwayPoly.one()
 
-    def test_budget_caps_the_skein_tree(self):
-        from braidhfk import alexander
+    def test_unknots_on_many_strands(self):
+        # the top strand stays near the top going up and travels to the
+        # bottom going down: the trace reads the keys whichever way needs
+        # fewer products, so both take O(n) products, not O(n^2)
+        for letters in (range(1, 1000), range(999, 0, -1)):
+            assert conway(BraidWord(1000, tuple(letters))) == ConwayPoly.one()
 
-        # T(5,6)'s skein tree adds 772 memo entries to an empty table
+    def test_budget_caps_the_skein_tree(self):
+        # T(5,6)'s sweep reaches all 5! = 120 arrangements; a table's size
+        # depends only on the word, so a failed call leaves nothing behind
         w = torus(5, 6)
-        alexander.clear_caches()
-        with pytest.raises(EngineFailure, match="budget of 500 memo entries"):
-            conway(w, budget=500)
-        alexander.clear_caches()
+        for _ in range(2):
+            with pytest.raises(EngineFailure, match="budget of 119 entries"):
+                conway(w, budget=119)
+        assert hfk_euler(w, budget=120) == alexander_burau(w)
+
+    def test_budget_failure_names_the_word_and_the_letter(self):
+        # T(6,7)'s sweep first holds 6! = 720 arrangements after letter 30
+        w = torus(6, 7)
+        with pytest.raises(EngineFailure) as info:
+            conway(w, budget=719)
+        assert str(info.value) == f"Hecke sweep of {w} passed the budget of 719 entries after letter 30"
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_torus_knots_up_to_t89_at_the_default_budget(self, p):
+        w = torus(p, p + 1)
         assert hfk_euler(w) == alexander_burau(w)
-        assert len(alexander._conway_cache) == 772
-        alexander.clear_caches()
+
+    def test_matches_the_skein_tree_on_the_corpus(self):
+        for w in corpus(4, 9):
+            assert conway(w) == conway_by_skein_tree(w), w
 
 
 class TestHfkEuler:
@@ -315,14 +335,10 @@ class TestSecondCoefficient:
             assert second_coefficient(w) == expected
 
     def test_engine_failure_surfaces(self):
-        from braidhfk import alexander
-
-        alexander.clear_caches()
-        # a prime simple braid, on which no reduction fires: its walk over
-        # simple conjugates needs a second node, past a budget of 1
-        with pytest.raises(EngineFailure):
+        # a simple braid keeps one arrangement through the sweep, but its
+        # trace needs tables of up to 4, past a budget of 1
+        with pytest.raises(EngineFailure, match="destabilising strand 5"):
             conway(BraidWord(5, (4, 2, 3, 4, 1, 2, 3, 1)), budget=1)
-        alexander.clear_caches()
 
 
 class TestEngineIndependence:
@@ -337,14 +353,12 @@ class TestEngineIndependence:
         ids=["T(4,5)", "T(2,3)#T(3,4)", "T(2,3)+T(2,2)", "10_139"],
     )
     def test_skein_never_runs_the_orbit_search(self, w, monkeypatch):
-        # the skein route may take immediate_reduction's cuts, which Burau
-        # checks through the product, but it must not call decompose
+        # the skein route reads nothing of the decomposition
         from braidhfk import alexander, braidword
 
         def forbidden(*args):
             raise AssertionError("skein engine called decompose")
 
-        alexander.clear_caches()
         monkeypatch.setattr(braidword, "decompose", forbidden)
         monkeypatch.setattr(alexander, "decompose", forbidden, raising=False)
         assert hfk_euler(w) == alexander_burau(w)

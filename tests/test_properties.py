@@ -1,7 +1,8 @@
 """Property tests: the Burau, skein and Kauffman engines see closures, not
 words, the doubled-crossing check sees rotation/commutation classes, the
-Kauffman sweep counts what the enumerator lists, the engines obey the
-connected-sum and disjoint-union laws, and random words pass ``verify``.
+Kauffman sweep counts what the enumerator lists, the Hecke sweep agrees
+with the skein tree, the engines obey the connected-sum and
+disjoint-union laws, and random words pass ``verify``.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
@@ -14,7 +15,7 @@ from collections import Counter
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from braidhfk import alexander, hfk
+from braidhfk import hfk
 from braidhfk.alexander import _pack, _unpack, alexander_burau, conway, hfk_euler
 from braidhfk.braidword import (
     DEFAULT_BUDGET,
@@ -30,6 +31,7 @@ from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
 from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
 from braidhfk.polynomials import HalfLaurent
 from burau_oracle import burau_by_lists
+from skein_tree_oracle import conway_by_skein_tree
 from square_oracle import (
     ALL_MOVES,
     _shuffles,
@@ -107,11 +109,16 @@ def test_pack_round_trip(case):
 
 
 def skein_invariants(w):
-    """Skein Conway and the skein next-to-top group of ``w``, from empty
-    memo tables so that no entry of another word is read."""
-    alexander.clear_caches()
+    """Skein Conway and the skein next-to-top group of ``w``, the latter
+    from an empty memo table so that no entry of another word is read."""
     hfk.clear_caches()
     return conway(w), next_to_top_via_skein(w)
+
+
+@settings(max_examples=300)
+@given(words(min_strands=1, max_len=14, max_strands=7))
+def test_hecke_sweep_matches_the_skein_tree(w):
+    assert conway(w) == conway_by_skein_tree(w)
 
 
 @PROPERTY
@@ -166,7 +173,8 @@ def test_one_pass_check_matches_the_gap_check(w):
 
 @st.composite
 def connected_words(draw, max_strands=5, max_len=8):
-    """Every generator at least once, in a random order with extra letters."""
+    """Every generator at least once, in a random order with extra letters:
+    the closure diagram is connected, so the closure is not split."""
     n = draw(st.integers(2, max_strands))
     extra = draw(st.lists(st.integers(1, n - 1), max_size=max_len - (n - 1)))
     return BraidWord(n, tuple(draw(st.permutations(list(range(1, n)) + extra))))
@@ -280,15 +288,6 @@ def test_kauffman_braid_relation(n, data):
     assert kauffman_euler(a) == kauffman_euler(b)
 
 
-@st.composite
-def connected_words(draw, max_strands=4, max_len=8):
-    """Every generator once, then more letters, in a drawn order: the
-    closure diagram is connected, so the closure is not split."""
-    n = draw(st.integers(2, max_strands))
-    extra = draw(st.lists(st.integers(1, n - 1), max_size=max_len - (n - 1)))
-    return BraidWord(n, tuple(draw(st.permutations(list(range(1, n)) + extra))))
-
-
 def next_to_top_rank(w):
     """Rank of the skein next-to-top group of a non-split closure, all at
     ``(M, A) = (-1, g-1)``."""
@@ -296,7 +295,7 @@ def next_to_top_rank(w):
 
 
 @PROPERTY
-@given(connected_words(), connected_words())
+@given(connected_words(max_strands=4), connected_words(max_strands=4))
 def test_connected_sum_adds_next_to_top_ranks(a, b):
     w = connected_sum(a, b)
     g = closure_genus(w)
@@ -305,7 +304,7 @@ def test_connected_sum_adds_next_to_top_ranks(a, b):
 
 
 @PROPERTY
-@given(connected_words(), connected_words())
+@given(connected_words(max_strands=4), connected_words(max_strands=4))
 def test_disjoint_union_tensors_next_to_top_with_v(a, b):
     w = disjoint_union(a, b)
     g = closure_genus(w)
@@ -314,13 +313,13 @@ def test_disjoint_union_tensors_next_to_top_with_v(a, b):
 
 
 @PROPERTY
-@given(connected_words(), connected_words())
+@given(connected_words(max_strands=4), connected_words(max_strands=4))
 def test_alexander_multiplies_under_connected_sum(a, b):
     assert alexander_burau(connected_sum(a, b)) == alexander_burau(a) * alexander_burau(b)
 
 
 @PROPERTY
-@given(connected_words(), connected_words())
+@given(connected_words(max_strands=4), connected_words(max_strands=4))
 def test_euler_vanishes_on_disjoint_union(a, b):
     w = disjoint_union(a, b)
     assert hfk_euler(w) == HalfLaurent.zero()
