@@ -1,6 +1,10 @@
 """Two independent Alexander polynomial engines for positive braid closures.
 
-``conway`` takes the trace of the word in the Hecke algebra, whose
+``conway`` cuts the word into its prime connected-sum factors with the
+destabilisations and cuts of ``immediate_reduction`` (``prime_factors``)
+and multiplies their Conway polynomials, so ``skein_equals_burau`` checks
+those cuts through Burau's matrix of the whole word.  Each factor's
+polynomial is the trace of the word in the Hecke algebra, whose
 generators satisfy ``T_i^2 = 1 + z T_i``.  That is the oriented skein
 relation ``nabla(L+) = nabla(L-) + z * nabla(L0)`` read on braids, as
 Jones (Ann. Math. 126, 1987) and Morton-Short (J. Algorithms 11, 1990)
@@ -9,17 +13,15 @@ in the basis ``T_pi`` of permutations.  At a letter ``i`` each term moves
 to ``pi s_i``, and when the two strands it crosses have crossed before,
 ``z`` times the term also stays where it was.  The trace destabilises the
 vector one strand at a time, by conjugation and positive Markov moves,
-down to one strand (see ``conway``).  Every coefficient is a sum of
-non-negative terms, and each product with a ``T_i`` at most doubles the
-sum of all coefficients of the vector.  The sweep takes ``len`` products
-and the trace ``(n-1)(n-2)/2``, so with ``bits = len + (n-1)(n-2)/2 + 2``
-every coefficient is at most ``2**(bits-2)``, and each ``Z[z]`` value is
-kept as one integer, its value at ``z = 2**bits``, with no borrows.  The
-route never calls ``decompose`` and takes none of the destabilisations
-and cuts of ``immediate_reduction``.  Those cuts are now checked only by
-``factor_product`` (Burau's multiplicativity) and, through the prime
-count ``p``, by ``second_coefficient`` and ``formula_matches_recursion``;
-the skein product no longer checks them.
+down to one strand (see ``_sweep``).  Every coefficient is a sum of
+non-negative terms.  Sending each ``T_pi`` to ``phi^length(pi)``, with
+``phi`` the golden ratio and ``z = 1``, is a ring map, since ``phi^2 = 1 +
+phi``; it takes the image of a word of ``len`` letters to ``phi^len``,
+and a destabilisation divides a term's image by ``phi``.  So every
+coefficient is at most ``phi^len``, and with ``bits = ceil(len *
+log2(phi)) + 2`` each ``Z[z]`` value is kept as one integer, its value at
+``z = 2**bits``, with no borrows.  The width depends on the length alone,
+not on the strand count.
 ``alexander_burau`` is the classical matrix route: the determinant of
 ``reduced_burau(word) - I`` divided by ``1 + t + ... + t^(n-1)``.  It
 packs each entry of ``Z[t]`` into one integer, its value at
@@ -44,13 +46,14 @@ and Burau multiplies by ``(t - 1)^(components - 1)`` and centres.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import ceil, isqrt, log2, prod, sqrt
 from operator import itemgetter
 
 from .braidword import (
     BraidWord,
     DEFAULT_BUDGET,
     closure_components,
+    prime_factors,
     require_budget,
 )
 from .polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
@@ -61,23 +64,27 @@ class EngineFailure(RuntimeError):
     or while destabilising some strand, a table of the Hecke sweep held
     more than ``budget`` strand arrangements.  The size of every table
     depends only on the word, so whether a word fails does not depend on
-    what ran before it."""
+    what ran before it.  Each arrangement holds one number per strand,
+    so a table of many strands takes memory in proportion."""
 
 
 # --------------------------------------------------------------------------
 # Hecke-algebra skein engine
 # --------------------------------------------------------------------------
 
-def _times_t(table: dict[tuple[int, ...], int], i: int, n: int, bits: int) -> dict[tuple[int, ...], int]:
-    """``table`` times ``T_i``, where ``T_i`` swaps entries ``i-1`` and ``i``
-    of each key, a tuple of length ``n``.
+#: ``log2`` of the golden ratio, the root of ``x^2 = 1 + x``.
+_LOG2_PHI = log2((1 + sqrt(5)) / 2)
 
-    Read as the strand at each position, this is right multiplication:
-    ``T_pi T_i`` is ``T_(pi s_i)`` when the two strands meet for the first
-    time, and ``T_(pi s_i) + z T_pi`` when they have crossed already
-    (``key[i-1] > key[i]``), since ``T_i^2 = 1 + z T_i``.  Read as the
-    position of each strand, it is left multiplication by the same rule.
-    Swapping is an involution, so each key of the result is assigned once.
+
+def _times_t(table: dict[tuple[int, ...], int], i: int, n: int, bits: int) -> dict[tuple[int, ...], int]:
+    """``table`` times ``T_i`` on the right, where each key, a tuple of
+    length ``n``, is the strand at each position.
+
+    ``T_pi T_i`` is ``T_(pi s_i)``, the key with entries ``i-1`` and ``i``
+    swapped, when the two strands meet for the first time, and
+    ``T_(pi s_i) + z T_pi`` when they have crossed already
+    (``key[i-1] > key[i]``), since ``T_i^2 = 1 + z T_i``.  Swapping is an
+    involution, so each key of the result is assigned once.
     """
     out = {}
     order = list(range(n))
@@ -93,14 +100,14 @@ def _times_t(table: dict[tuple[int, ...], int], i: int, n: int, bits: int) -> di
     return out
 
 
-def _require_entries(table: dict, budget: int, w: BraidWord, where: str) -> None:
+def _require_entries(table: dict, budget: int, name: str, where: str) -> None:
     if len(table) > budget:
-        raise EngineFailure(f"Hecke sweep of {w} passed the budget of {budget} entries {where}")
+        raise EngineFailure(f"Hecke sweep of {name} passed the budget of {budget} entries {where}")
 
 
-def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
-    """Conway polynomial of the closure, as the trace of the word in the
-    Hecke algebra.
+def _sweep(u: BraidWord, budget: int, name: str) -> ConwayPoly:
+    """Conway polynomial of a connected word's closure, as the trace of
+    the word in the Hecke algebra.
 
     The sweep reads the letters left to right and keeps the word's image
     in the basis ``T_pi`` of permutations: a dict from strand arrangements
@@ -108,39 +115,28 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     by ``_times_t``.
 
     The trace then removes one strand per level.  On ``m`` strands, a key
-    read as the strand at each position, whose top position holds strand
-    ``k``, is ``T_(k+1) ... T_(m-1) T_pi'`` with ``pi'`` the arrangement of
-    the other strands; conjugation and positive Markov destabilisation
-    turn it into ``T_pi' T_(k+1) ... T_(m-2)`` on ``m-1`` strands.  A key
-    read as the position of each strand, whose top strand sits at ``k``,
-    is ``T_pi' T_(m-1) ... T_(k+1)`` and turns into ``T_(m-2) ... T_(k+1)
-    T_pi'``.  Either way a key that ends in ``m-1`` is a split closure and
-    is dropped, and the others, grouped by their last entry ``k`` with it
-    removed and the entries above it lowered, form vectors ``W_k``.  The
-    vector on ``m-1`` strands is then ``W_(m-2) + T_(m-2)(W_(m-3) + ... +
-    T_1 W_0)`` in the second reading, and the same with products on the
-    right in the first, one ``_times_t`` per step.  Each level inverts
-    every key when that makes the smallest last entry larger, since that
-    saves products.  At one strand the one coefficient is the polynomial.
-    Split words give 0 before the sweep.
+    whose top position holds strand ``k`` is ``T_(k+1) ... T_(m-1)
+    T_pi'``, with ``pi'`` the arrangement of the other strands.
+    Conjugation and positive Markov destabilisation turn it into ``T_pi'
+    T_(k+1) ... T_(m-2)`` on ``m-1`` strands.  A key that ends in ``m-1``
+    is a split closure and is dropped.  The others, grouped by their last
+    entry ``k`` with it removed and the entries above it lowered, form
+    vectors ``W_k``, and the vector on ``m-1`` strands is ``(...(W_0 T_1
+    + W_1) T_2 + ... ) T_(m-2) + W_(m-2)``, one ``_times_t`` per product.
+    At one strand the one coefficient is the polynomial.
 
     ``budget`` caps the entries of every table, the sweep's after each
     letter and the trace's after each product; ``EngineFailure`` names
     the letter or the strand where one first held more.
     """
-    require_budget(budget)
-    if not w.is_connected:
-        return ConwayPoly.zero()
-    n = w.strands
-    bits = len(w.letters) + (n - 1) * (n - 2) // 2 + 2
+    n = u.strands
+    bits = ceil(len(u.letters) * _LOG2_PHI) + 2
     table = {tuple(range(n)): 1}
-    for k, i in enumerate(w.letters, 1):
+    for k, i in enumerate(u.letters, 1):
         table = _times_t(table, i, n, bits)
-        _require_entries(table, budget, w, f"after letter {k}")
+        _require_entries(table, budget, name, f"after letter {k}")
     for m in range(n, 1, -1):
         top = m - 1
-        if min((key.index(top) for key in table), default=0) > min((key[top] for key in table), default=0):
-            table = {tuple(map(key.index, range(m))): c for key, c in table.items()}
         groups: list[dict[tuple[int, ...], int]] = [{} for _ in range(top)]
         for key, c in table.items():
             k = key[top]
@@ -148,12 +144,31 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
                 groups[k][tuple(x - (x > k) for x in key[:top])] = c
         table = groups[0]
         for j in range(1, top):
-            if table:
-                table = _times_t(table, j, top, bits)
+            table = _times_t(table, j, top, bits)
             for key, c in groups[j].items():
                 table[key] = table.get(key, 0) + c
-            _require_entries(table, budget, w, f"destabilising strand {m}")
+            _require_entries(table, budget, name, f"destabilising strand {m}")
     return ConwayPoly(_unpack(table.get((0,), 0), bits))
+
+
+def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
+    """Conway polynomial of the closure: 0 for a split word, and otherwise
+    the product over the ``prime_factors`` of the word of their Hecke
+    traces (see ``_sweep``).
+
+    ``budget`` caps the entries of every table of each factor's sweep;
+    past it ``EngineFailure`` names the factor, and the word when the
+    factor is a proper piece of it.
+    """
+    require_budget(budget)
+    if not w.is_connected:
+        return ConwayPoly.zero()
+    factors = prime_factors(w)
+    result = ConwayPoly.one()
+    for u in factors:
+        name = str(u) if factors == [w] else f"{u}, a factor of {w},"
+        result = result * _sweep(u, budget, name)
+    return result
 
 
 def hfk_euler(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:

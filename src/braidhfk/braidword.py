@@ -556,29 +556,39 @@ def immediate_reduction(strands: int, u: tuple[int, ...]):
     return None
 
 
+def prime_factors(w: BraidWord) -> list[BraidWord]:
+    """Prime connected-sum factors of a connected word's closure, in no
+    fixed order; an unknot has none.
+
+    The word is reduced by ``immediate_reduction`` until nothing fires,
+    and the surviving words are the factors.  Each step costs
+    ``O(strands * len)``.
+    """
+    factors: list[BraidWord] = []
+    work = [(w.strands, w.letters)]
+    while work:
+        strands, letters = work.pop()
+        if strands == 1:
+            continue  # fully destabilised: an unknot summand is trivial
+        r = immediate_reduction(strands, letters)
+        if r is None:
+            factors.append(BraidWord(strands, letters))
+        else:
+            work.extend(r)
+    return factors
+
+
 def decompose(w: BraidWord) -> LinkClass:
     """Decompose a closure into split pieces and prime connected-sum factors.
 
     Unused strands become unknot pieces, which count in ``split_count``
-    but add no prime word.  Each connected piece is reduced by
-    ``immediate_reduction`` until nothing fires, and the surviving words
-    are the prime factors.  Each step costs ``O(strands * len)``.
-    ``verified`` is always True: by Cromwell's theorem (see the module
-    docstring) a word on which no reduction fires closes to a prime link.
+    but add no prime word.  Each connected piece contributes its
+    ``prime_factors``, sorted.  ``verified`` is always True: by Cromwell's
+    theorem (see the module docstring) a word on which no reduction fires
+    closes to a prime link.
     """
     pieces = split_pieces(w)
     primes: list[BraidWord] = []
     for piece in pieces:
-        factors: list[BraidWord] = []
-        work = [(piece.strands, piece.letters)]
-        while work:
-            strands, letters = work.pop()
-            if strands == 1:
-                continue  # fully destabilised: an unknot summand is trivial
-            r = immediate_reduction(strands, letters)
-            if r is None:
-                factors.append(BraidWord(strands, letters))
-            else:
-                work.extend(r)
-        primes += sorted(factors, key=lambda f: (f.strands, f.letters))
+        primes += sorted(prime_factors(piece), key=lambda f: (f.strands, f.letters))
     return LinkClass(tuple(primes), len(pieces), closure_components(w), True)

@@ -255,10 +255,11 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     Independent of the split/prime decomposition machinery: splitness is
     read off the word, everything else resolves doubled crossings.  This
     is deliberate, and the reason it never takes the destabilisations and
-    cuts of ``immediate_reduction``: the closed formula it is checked
-    against counts primes with those same cut rules, so a recursion that
-    also split at them would share any wrong cut with the formula, and
-    ``formula_matches_recursion`` would still agree.
+    cuts of ``immediate_reduction`` the way ``alexander.conway`` does:
+    the closed formula it is checked against counts primes with those
+    same cut rules, so a recursion that also split at them would share
+    any wrong cut with the formula, and ``formula_matches_recursion``
+    would still agree.
     """
     require_budget(budget)
     g = closure_genus(w)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -84,11 +85,46 @@ class TestConway:
         assert conway(BraidWord(2, (1,))) == ConwayPoly.one()
 
     def test_unknots_on_many_strands(self):
-        # the top strand stays near the top going up and travels to the
-        # bottom going down: the trace reads the keys whichever way needs
-        # fewer products, so both take O(n) products, not O(n^2)
+        # the destabilisations of prime_factors take both words apart
+        # before any sweep, so neither builds a table of 1000-strand keys
         for letters in (range(1, 1000), range(999, 0, -1)):
             assert conway(BraidWord(1000, tuple(letters))) == ConwayPoly.one()
+
+    def test_connected_sum_of_large_factors(self):
+        # each factor's sweep holds at most 6! = 720 arrangements; one
+        # sweep of the sum would hold products of the two
+        w = connected_sum(torus(6, 7), torus(6, 7))
+        assert conway(w) == conway(torus(6, 7)) * conway(torus(6, 7))
+        assert hfk_euler(w) == alexander_burau(w)
+
+    def test_budget_failure_names_the_factor_and_the_word(self):
+        w = connected_sum(torus(2, 3), torus(6, 7))
+        with pytest.raises(EngineFailure) as info:
+            conway(w, budget=719)
+        assert str(info.value) == (
+            f"Hecke sweep of {torus(6, 7)}, a factor of {w}, passed the budget of 719 entries after letter 30"
+        )
+
+    def test_many_strands_with_repeated_squares(self):
+        # squares s_1^2 s_3^2 ... double the table, and two passes up the
+        # strands keep the word prime on 1000 strands; each packed value
+        # is sized by the word's length, not the strand count, so the
+        # failing call holds about 2**11 keys and small values
+        sq = tuple(x for j in range(11) for x in (2 * j + 1, 2 * j + 1))
+        w = BraidWord(1000, sq + tuple(range(1, 1000)) * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EngineFailure, match="budget of 2000 entries after letter 22$"):
+                conway(w, budget=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_many_strands_match_the_skein_tree(self):
+        sq = tuple(x for j in range(3) for x in (2 * j + 1, 2 * j + 1))
+        w = BraidWord(40, sq + tuple(range(1, 40)) * 2)
+        assert conway(w) == conway_by_skein_tree(w)
 
     def test_budget_caps_the_skein_tree(self):
         # T(5,6)'s sweep reaches all 5! = 120 arrangements; a table's size
@@ -353,7 +389,8 @@ class TestEngineIndependence:
         ids=["T(4,5)", "T(2,3)#T(3,4)", "T(2,3)+T(2,2)", "10_139"],
     )
     def test_skein_never_runs_the_orbit_search(self, w, monkeypatch):
-        # the skein route reads nothing of the decomposition
+        # the skein route takes its own cuts by prime_factors and never
+        # reads the result of decompose
         from braidhfk import alexander, braidword
 
         def forbidden(*args):
