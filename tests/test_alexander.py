@@ -107,9 +107,10 @@ class TestConway:
 
     def test_many_strands_with_repeated_squares(self):
         # squares s_1^2 s_3^2 ... double the table, and two passes up the
-        # strands keep the word prime on 1000 strands; each packed value
-        # is sized by the word's length, not the strand count, so the
-        # failing call holds about 2**11 keys and small values
+        # strands keep the word prime on 1000 strands.  Each key holds one
+        # number per strand, but each packed value is sized by the word's
+        # length, not the strand count, so the failing call holds about
+        # 2**11 keys of 1000 numbers and small values.
         sq = tuple(x for j in range(11) for x in (2 * j + 1, 2 * j + 1))
         w = BraidWord(1000, sq + tuple(range(1, 1000)) * 2)
         tracemalloc.start()
