@@ -48,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from collections import deque
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Default cap on any single search: the simple conjugates visited by
 #: ``find_adjacent_square``, the entries of each table of the skein Conway
@@ -61,8 +61,10 @@ DEFAULT_BUDGET = 200_000
 MAX_STRANDS = 1_000
 MAX_LETTERS = 10_000
 
-#: Largest count of candidate words, ``sum_L (strands-1)^L``, that
-#: ``harness.corpus`` walks; past it the enumeration would not finish.
+#: Largest count of words, ``sum_L (strands-1)^L``, whose classes
+#: ``harness.corpus`` lists.  It walks only the necklaces among them, about
+#: one word in ``L``, but the classes and the necklaces it keeps grow with
+#: this count; past it the enumeration would not finish.
 MAX_CORPUS_WORDS = 1_000_000
 
 
@@ -216,57 +218,6 @@ def closure_genus(w: BraidWord) -> int:
     """Genus of the closure, (components - chi)/2 with chi = strands - length."""
     chi = w.strands - len(w.letters)
     return (closure_components(w) - chi) // 2
-
-
-# --------------------------------------------------------------------------
-# Length-preserving moves and the breadth-first orbit walk
-# --------------------------------------------------------------------------
-
-def word_class(w: BraidWord) -> Iterator[tuple[int, ...]]:
-    """The letters of every word related to ``w`` by rotations and distant
-    commutations, breadth first, ``w`` first.  All of them close to the
-    same link.
-
-    A word's neighbours are queued in a fixed order: the rotation by one
-    letter, then the distant commutations left to right.
-    """
-    u = w.letters
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        v = queue.popleft()
-        yield v
-        n = len(v)
-        if n > 1:
-            nb = v[1:] + v[:1]
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-        # each move is made on a scratch copy of v, read off, and undone
-        work = list(v)
-        for j in range(n - 1):
-            a, b = work[j], work[j + 1]
-            if a - b >= 2 or b - a >= 2:
-                work[j], work[j + 1] = b, a
-                nb = tuple(work)
-                work[j], work[j + 1] = a, b
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-
-
-def canonical_key(w: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """A key equal exactly for words related by rotations and distant
-    commutations: the strand count and the lexicographically least member
-    of that class.
-
-    The two move kinds interact across the wrap point (commuting a letter
-    changes which words are rotations), so the least member is found by
-    walking the whole class rather than by normalising each rotation.
-    Braid relations are deliberately not quotiented out: keys only ever
-    merge words with the same closure.
-    """
-    return (w.strands, min(word_class(w)))
 
 
 def require_budget(budget: int) -> None:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .alexander import EngineFailure, alexander_burau, hfk_euler
 from .braidword import (
@@ -26,7 +25,6 @@ from .braidword import (
     decompose,
     parse_serialized,
     require_size,
-    word_class,
 )
 from .hfk import (
     BigradedRank,
@@ -136,32 +134,88 @@ def family(name: str, *params) -> BraidWord:
 # Corpus
 # --------------------------------------------------------------------------
 
+def necklaces(k: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The words of ``length`` letters over ``1..k`` that are least among
+    their rotations, in lex order, by the Fredricksen-Kessler-Maiorana
+    algorithm (Ruskey, Savage and Wang, *J. Algorithms* 13, 1992).
+
+    It walks the prenecklaces (prefixes of necklaces) in lex order: the
+    next one raises the last letter below ``k`` at some position ``i`` and
+    repeats ``a[1..i]`` after it, and it is a necklace when ``i`` divides
+    ``length``.  The walk does constant work per necklace on average.
+    """
+    if length == 0:
+        yield ()
+        return
+    a = [0] + [1] * length  # a[0] is a sentinel below every letter
+    p = 1
+    while True:
+        if length % p == 0:
+            yield tuple(a[1:])
+        i = length
+        while a[i] == k:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, length + 1):
+            a[j] = a[j - i]
+        p = i
+
+
 def corpus(max_strands: int, max_len: int) -> list[BraidWord]:
     """All words on ``max_strands`` strands of length <= ``max_len``, one per
-    rotation/commutation class: the lex-least member, since each class is
-    met first there when the words of one length are walked in lex order.
-    Shorter words come first.  ``RangeError`` when more than
-    ``MAX_CORPUS_WORDS`` words would be walked."""
+    rotation/commutation class: the lex-least member.  Shorter words come
+    first, and words of one length in lex order.
+
+    The least member of a class is no greater than any of its rotations,
+    so it is a necklace.  A class is a union of necklaces, closed under
+    swapping two cyclically adjacent letters that differ by at least 2
+    (a distant commutation of some rotation) and taking the least
+    rotation of the result.  So the walk runs over the necklaces of each
+    length in lex order (``necklaces``); each one not yet seen is the
+    least member of a new class, whose necklaces are then flooded by
+    those swaps and marked seen.  On two letters every such swap is a
+    rotation, so each necklace is a class of its own.
+
+    ``RangeError`` when the classes would cover more than
+    ``MAX_CORPUS_WORDS`` words."""
     if max_strands < 2:
         raise ValueError("corpus needs at least 2 strands")
     require_size(max_strands, max_len)
-    walked, count = 0, 1
+    covered, count = 0, 1
     for _ in range(max_len + 1):
-        walked += count
-        if walked > MAX_CORPUS_WORDS:
+        covered += count
+        if covered > MAX_CORPUS_WORDS:
             raise RangeError(
-                f"corpus({max_strands}, {max_len}) would walk more than {MAX_CORPUS_WORDS} words"
+                f"corpus({max_strands}, {max_len}) would cover more than {MAX_CORPUS_WORDS} words"
             )
         count *= max_strands - 1
-    alphabet = tuple(range(1, max_strands))
     words: list[BraidWord] = []
     for length in range(max_len + 1):
         seen: set[tuple[int, ...]] = set()
-        for letters in product(alphabet, repeat=length):
-            if letters not in seen:
-                w = BraidWord(max_strands, letters)
-                seen.update(word_class(w))
-                words.append(w)
+        rotations = [slice(i, i + length) for i in range(length)]
+        for least in necklaces(max_strands - 1, length):
+            if least in seen:
+                continue
+            words.append(BraidWord(max_strands, least))
+            if length <= 2:
+                continue
+            seen.add(least)
+            stack = [least]
+            while stack:
+                v = stack.pop()
+                d = v + v
+                for j in range(length):
+                    a, b = d[j], d[j + 1]
+                    if a - b >= 2 or b - a >= 2:
+                        # v rotated to start at j, its first two letters swapped
+                        u = (b, a) + d[j + 2:j + length]
+                        u += u
+                        nb = min(map(u.__getitem__, rotations))
+                        if nb not in seen:
+                            seen.add(nb)
+                            stack.append(nb)
     return words
 
 

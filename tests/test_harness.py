@@ -1,7 +1,9 @@
 import ast
 import importlib.util
+import math
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,6 @@ from braidhfk.braidword import (
     MAX_STRANDS,
     BraidWord,
     RangeError,
-    canonical_key,
     closure_genus,
     decompose,
 )
@@ -24,6 +25,7 @@ from braidhfk.harness import (
     disjoint_union,
     family,
     figure3,
+    necklaces,
     read_corpus_lines,
     reports_to_json,
     t2,
@@ -31,6 +33,7 @@ from braidhfk.harness import (
     verify,
     verify_all,
 )
+from corpus_oracle import canonical_key, corpus_by_words
 
 
 class TestFamilies:
@@ -103,11 +106,56 @@ class TestCorpus:
             corpus(2, MAX_LETTERS + 1)
         with pytest.raises(RangeError, match="more than"):
             corpus(4, 40)
-        # walking 97,656 and 87,381 words, these stay under the bound
+        # their classes cover 97,656 and 87,381 words, under the bound
         assert len(corpus(6, 7)) == 1551
         assert len(corpus(5, 8)) == 1651
         # the bound leaves the acceptance corpus as it was
         assert len(corpus(4, 10)) == 2749
+
+    def test_matches_the_word_walk(self):
+        # every length whose words number at most 30,000 in all; on two
+        # strands each length has one word, so lengths up to 30 stand in
+        for n in range(2, 8):
+            max_len, walked = 0, 1
+            while max_len < 30 and walked + (n - 1) ** (max_len + 1) <= 30_000:
+                max_len += 1
+                walked += (n - 1) ** max_len
+            reference = [w.letters for w in corpus_by_words(n, max_len)]
+            for length in range(max_len + 1):
+                expected = [u for u in reference if len(u) <= length]
+                assert [w.letters for w in corpus(n, length)] == expected, (n, length)
+        for n, length in [(4, 10), (100, 2)]:
+            assert corpus(n, length) == corpus_by_words(n, length)
+
+    def test_necklaces_are_the_least_rotations_in_order(self):
+        for k in range(1, 5):
+            assert list(necklaces(k, 0)) == [()]
+            for length in range(1, 9):
+                found = list(necklaces(k, length))
+                assert all(u < v for u, v in zip(found, found[1:]))
+                assert all(
+                    len(u) == length and set(u) <= set(range(1, k + 1))
+                    and all(u <= u[i:] + u[:i] for i in range(length))
+                    for u in found
+                )
+                # the count of necklaces, by Burnside's lemma over rotations
+                count = sum(
+                    sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1) * k ** (length // d)
+                    for d in range(1, length + 1)
+                    if length % d == 0
+                ) // length
+                assert len(found) == count, (k, length)
+        assert sum(1 for length in range(11) for _ in necklaces(3, length)) == 9504
+
+    def test_acceptance_corpus_memory(self):
+        # the walk keeps the necklaces of one length, not every word
+        tracemalloc.start()
+        try:
+            corpus(4, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_corpus_file_round_trip(self):
         lines = [
