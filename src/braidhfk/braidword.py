@@ -258,47 +258,6 @@ def resolve_square(w: BraidWord) -> SkeinTriple:
     return SkeinTriple(w, l_minus, l_zero, delta)
 
 
-def _adjacent_pair(u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """If two occurrences of some generator ``i`` are cyclically consecutive
-    among the letters ``i-1, i, i+1``, return the word rewritten as
-    ``(i, i, ...)``: the smallest such ``i``, at its first such pair in
-    position order, the pair wrapping past the end of the word last.
-
-    Every letter between the pair commutes with ``s_i``, so the pair can be
-    rotated to the front and the gap commuted out of the way.  Whether the
-    check hits is the same for every rotation and distant commutation of
-    ``u``.  A rotation only rotates the cyclic window of letters
-    ``i-1, i, i+1``.  A distant commutation swaps two adjacent letters; when
-    both lie in the window they are ``i-1`` and ``i+1``, so whether two
-    ``i`` are consecutive in the window never changes.
-
-    One pass over ``u + u`` finds every pair: an ``i`` at ``q`` pairs with
-    the last ``i`` before it, at ``p``, when no ``i-1`` or ``i+1`` came in
-    between, ``p`` lies in the first copy, and ``p`` is not ``q``'s own
-    copy.  Only the pair that wraps past the end of the word has its
-    second letter in the second copy, so it is met after every plain pair.
-    """
-    if not u:
-        return None
-    n, low = len(u), min(u)
-    last = [-n] * (max(u) + 2)
-    best = None
-    for q, x in enumerate(u + u):
-        p = last[x]
-        if q - n < p < n and p > last[x - 1] and p > last[x + 1]:
-            if best is None or x < best[0]:
-                best = (x, p, q % n)
-                if x == low:
-                    break
-        last[x] = q
-    if best is None:
-        return None
-    i, p, q = best
-    r = u[p:] + u[:p]
-    k = (q - p) % n
-    return (i, i) + r[1:k] + r[k + 1:]
-
-
 def _reduced_word(at: list[int]) -> tuple[int, ...]:
     """A reduced word whose letters take the strands from positions
     ``0, 1, ..., n-1`` to the arrangement ``at`` (the strand at each
@@ -308,9 +267,8 @@ def _reduced_word(at: list[int]) -> tuple[int, ...]:
     positions, one per inverted pair; replayed backwards, those swaps are
     the word.  Each pass stops at the last swap of the pass before, and
     the passes start past the strands already in place, which never move.
-    Which reduced word comes back shapes the skein trees built on it: on
-    T(6,7), the skein Conway tree of ``tests/skein_tree_oracle.py`` holds
-    14,007 memo entries after bubble sort and 37,464 after insertion sort.
+    Which reduced word comes back shapes only the words of the
+    next-to-top chain, and so the keys ``hfk._profile_cache`` holds.
     """
     a = list(at)
     swaps = []
@@ -397,15 +355,13 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     """Rewrite ``w`` into the form ``s_i s_i b`` without changing the closure.
 
     The result is a word of the same length in ``w``'s orbit under
-    rotations, distant commutations and braid relations.  Three steps run
-    in turn, each only when the one before missed:
+    rotations, distant commutations and braid relations.  Two steps run in
+    turn, the second only when the first missed:
 
-    1. ``_adjacent_pair``: two occurrences of some ``i`` already sit
-       cyclically next to each other among the letters ``i-1, i, i+1``.
-    2. ``_exchange``: some strand pair crosses twice; the exchange property
+    1. ``_exchange``: some strand pair crosses twice; the exchange property
        writes the first such crossing next to the one before it, in
        O(len + strands**2).
-    3. ``_simple_conjugate_square``: ``w`` is a simple braid; walk its
+    2. ``_simple_conjugate_square``: ``w`` is a simple braid; walk its
        simple conjugates breadth first, counting each visited one against
        ``budget``.
 
@@ -413,7 +369,7 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     doubled crossing can exist), when the first ``budget`` simple
     conjugates hold none, or when every conjugate of ``w`` is simple.  A
     non-positive ``budget`` raises ``ValueError`` once the word is known
-    to have positive genus.  Nothing is memoised: the first two steps cost
+    to have positive genus.  Nothing is memoised: the exchange costs
     O(len + strands**2), so each call searches afresh, and the result
     depends only on ``w`` and ``budget``.
     """
@@ -422,8 +378,7 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     if closure_genus(w) == 0:
         return None
     require_budget(budget)
-    u = w.letters
-    hit = _adjacent_pair(u) or _exchange(w.strands, u) or _simple_conjugate_square(w, budget)
+    hit = _exchange(w.strands, w.letters) or _simple_conjugate_square(w, budget)
     return None if hit is None else BraidWord(w.strands, hit)
 
 
@@ -439,6 +394,12 @@ class LinkClass:
     pieces in strand order, each piece's factors sorted by
     ``(strands, letters)``; an unknot piece contributes none.
     ``split_count`` counts the split pieces, unknots included.
+
+    ``decompose`` always sets ``verified`` True, since its reductions are
+    complete.  The field stays only for the report's ``verified`` key and
+    the ``decompose_verified`` check, which keep the canonical reports
+    byte-identical; only the bounded search of
+    ``tests/decompose_oracle.py`` sets it False.
     """
 
     prime_words: tuple[BraidWord, ...]

@@ -59,7 +59,13 @@ def reduced(g: SeifertMultigraph) -> SeifertMultigraph:
 
 
 def fibered_positive(g: SeifertMultigraph) -> bool:
-    """Fiberedness test for positive diagrams: the reduced graph is a forest."""
+    """Fiberedness test for positive diagrams: the reduced graph is a forest.
+
+    On a braid word every edge joins neighbouring strands, so the reduced
+    graph is a sub-path of ``1-2-...-n`` and the result is always True.
+    The ``reduced_graph_forest`` check and the ``fibered`` report key stay
+    all the same, so that the canonical reports keep their bytes.
+    """
     parent = list(range(g.vertex_count + 1))
 
     def find(x: int) -> int:

@@ -324,10 +324,13 @@ class TestFindAdjacentSquare:
         assert find_adjacent_square(BraidWord(2, (1,))) is None
 
     def test_commutes_distant_letters_out_of_the_gap(self):
-        # the gap between the two s1 letters holds only an s3, which commutes out
+        # the gap between the two s1 letters holds only an s3, so the second
+        # s1 crosses strands 0 and 1 again: the exchange brings the pair
+        # together and rotates the prefix's other letter, s3, to the end
         w = BraidWord(4, (1, 3, 1, 3, 2, 2))
         sq = find_adjacent_square(w)
-        assert sq.letters == (1, 1, 3, 3, 2, 2)
+        assert sq.letters == (1, 1, 3, 2, 2, 3)
+        assert conway(sq) == conway(w)
 
     def test_moves_preserve_conway(self):
         rng = random.Random(3)

@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import importlib.util
 import math
 import pathlib
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -298,14 +300,22 @@ class TestVerify:
         assert "elapsed" in verify(BraidWord(2, (1, 1))).to_json(include_timing=True)
 
 
-def load_worker():
-    """``perfbench/worker.py``, which imports only the standard library at
-    module level."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    return worker
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module, loaded without writing bytecode
+    beside it.  ``worker`` imports only the standard library at module
+    level; ``run`` imports ``oracle`` and ``worker`` by their bare names."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write
+    return module
 
 
 class TestTracedBenchmark:
@@ -314,7 +324,7 @@ class TestTracedBenchmark:
         # bare getattr
         from braidhfk import harness
 
-        worker = load_worker()
+        worker = load_perfbench("worker")
         names = [name for layer in worker.LAYERS.values() for name in layer]
         assert names
         for name in names:
@@ -326,8 +336,36 @@ class TestTracedBenchmark:
         # keeps no table, so the next-to-top memo is the one route table
         from braidhfk import hfk
 
-        mod, attr = load_worker().MEMOS["hfk.profile_memo"]
+        mod, attr = load_perfbench("worker").MEMOS["hfk.profile_memo"]
         assert mod == "hfk" and isinstance(getattr(hfk, attr, None), dict)
+
+
+# sha256 of reports_to_json(verify_all(..)) on each benchmark workload at
+# seed 7: refactors must leave the canonical reports byte-identical
+REPORT_DIGESTS = {
+    "corpus": "15c368fb8a178970101705179ef55be4117b00b41402ff23720aefff2ec679a0",
+    "ladder": "4bba93f30163cb729be89b90add898f500d5607891b989752954bbcaf680fab4",
+    "states": "04cb924bf7ac4069417c413b6df588640a661f6ac2355025a6510a7f695ca490",
+}
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_seed_7_reports_are_unchanged(self, name, monkeypatch):
+        # the words are built as the benchmark builds them: run.workload
+        # lists the ladder and states words, and the worker turns them (or
+        # the acceptance corpus, shuffled by the seed) into BraidWords
+        from braidhfk import harness
+
+        before = sorted(PERFBENCH.rglob("*"))
+        worker = load_perfbench("worker")
+        monkeypatch.setitem(sys.modules, "worker", worker)
+        monkeypatch.setitem(sys.modules, "oracle", load_perfbench("oracle"))
+        keys, _ = load_perfbench("run").workload(name, 7)
+        words = worker._build_words(harness, {"workload": name, "seed": 7, "words": keys})
+        digest = hashlib.sha256(reports_to_json(verify_all(words)).encode()).hexdigest()
+        assert digest == REPORT_DIGESTS[name]
+        assert sorted(PERFBENCH.rglob("*")) == before
 
 
 def test_exports_are_exactly_the_package_imports():

@@ -1,8 +1,9 @@
 """Property tests: the Burau, skein and Kauffman engines see closures, not
-words, the doubled-crossing check sees rotation/commutation classes, the
-Kauffman sweep counts what the enumerator lists, the Hecke sweep agrees
-with the skein tree, the engines obey the connected-sum and
-disjoint-union laws, and random words pass ``verify``.
+words, the doubled-crossing search returns squares of the move orbit and
+misses no pair the gap check sees, the Kauffman sweep counts what the
+enumerator lists, the Hecke sweep agrees with the skein tree, the engines
+obey the connected-sum and disjoint-union laws, and random words pass
+``verify``.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
@@ -20,8 +21,8 @@ from braidhfk.alexander import _pack, _unpack, alexander_burau, conway, hfk_eule
 from braidhfk.braidword import (
     DEFAULT_BUDGET,
     BraidWord,
-    _adjacent_pair,
     _exchange,
+    _simple_conjugate_square,
     closure_components,
     closure_genus,
     find_adjacent_square,
@@ -34,7 +35,6 @@ from burau_oracle import burau_by_lists
 from skein_tree_oracle import conway_by_skein_tree
 from square_oracle import (
     ALL_MOVES,
-    _shuffles,
     adjacent_pair_by_gaps,
     reference_orbit,
     square_by_checking_every_word,
@@ -150,27 +150,6 @@ def test_skein_braid_relation(w, data):
     )
 
 
-@settings(max_examples=300)
-@given(words())
-def test_doubled_crossing_check_sees_shuffles(w):
-    # the one-pass check reads the rotation/commutation class: it hits on
-    # a word iff it hits on its shuffles
-    missed = _adjacent_pair(w.letters) is None
-    for v in _shuffles(w.letters):
-        assert (_adjacent_pair(v) is None) == missed
-
-
-@settings(max_examples=300)
-@given(words(min_strands=1, max_len=14, max_strands=7))
-@example(BraidWord(1, ()))
-@example(BraidWord(2, ()))
-@example(BraidWord(3, (1, 2, 1)))  # only the wrapping pair exists
-@example(BraidWord(4, (1, 2, 3, 3, 2, 1)))  # 1 pairs by wrapping, after 3's plain pair
-@example(BraidWord(2, (1,)))  # one occurrence never pairs with its own copy
-def test_one_pass_check_matches_the_gap_check(w):
-    assert _adjacent_pair(w.letters) == adjacent_pair_by_gaps(w.letters)
-
-
 @st.composite
 def connected_words(draw, max_strands=5, max_len=8):
     """Every generator at least once, in a random order with extra letters:
@@ -183,8 +162,8 @@ def connected_words(draw, max_strands=5, max_len=8):
 @st.composite
 def nearly_simple_words(draw, max_strands=5):
     """A reduced word of a random permutation, read off a bubble sort, with
-    at most one extra letter put in: simple braids and words in which one
-    pair of strands crosses twice, which the one-pass check mostly misses."""
+    at most one extra letter put in: simple braids, which only the walk
+    settles, and words in which one pair of strands crosses twice."""
     n = draw(st.integers(3, max_strands))
     at = draw(st.permutations(range(n)))
     swaps = []
@@ -208,17 +187,30 @@ def nearly_simple_words(draw, max_strands=5):
 @example(BraidWord(5, (4, 2, 3, 4, 1, 2, 3, 1)))  # simple and prime
 def test_square_lies_in_the_move_orbit(w):
     orbit = {v for v, _ in reference_orbit(w.letters, ALL_MOVES)}
-    # the exchange rewrite on its own, also where the one-pass check hits first
+    # the exchange rewrite on its own; the search returns it whenever it hits
     hit = _exchange(w.strands, w.letters)
+    sq = find_adjacent_square(w)
     if hit is not None:
         assert len(hit) == len(w) and hit[0] == hit[1] and hit in orbit
-    sq = find_adjacent_square(w)
+        assert sq.letters == hit
     if sq is None:
         assert closure_genus(w) == 0 or square_by_checking_every_word(w, DEFAULT_BUDGET) is None
         return
     assert sq.strands == w.strands and len(sq) == len(w)
     assert sq.letters[0] == sq.letters[1]
     assert sq.letters in orbit
+
+
+@settings(max_examples=300)
+@given(connected_words(max_strands=8, max_len=14))
+@example(BraidWord(3, (1, 2, 1)))  # a simple braid whose pair wraps past the end
+@example(BraidWord(4, (1, 3, 1, 3, 2, 2)))  # only distant letters between the two s1
+def test_two_steps_find_every_pair_the_gap_check_sees(w):
+    # two occurrences of i with only distant letters between them cross the
+    # same pair of strands, so the exchange hits; the one exception wraps
+    # past the end of a simple braid, and the walk's first conjugate has it
+    assume(closure_genus(w) > 0 and adjacent_pair_by_gaps(w.letters) is not None)
+    assert _exchange(w.strands, w.letters) is not None or _simple_conjugate_square(w, 1) is not None
 
 
 def joined_up(w):
