@@ -23,14 +23,15 @@ log2(phi)) + 2`` each ``Z[z]`` value is kept as one integer, its value at
 ``z = 2**bits``, with no borrows.  The width depends on the length alone,
 not on the strand count.
 ``alexander_burau`` is the classical matrix route: the determinant of
-``reduced_burau(word) - I`` divided by ``1 + t + ... + t^(n-1)``.  It
-packs each entry of ``Z[t]`` into one integer, its value at
-``t = 2**bits``, updates one column of the matrix per letter, and takes
-the determinant by fraction-free Bareiss elimination over ``Z``.  A
-bound on the entries' l1 norms sets the digit width of the build, and
-Hadamard's bound on the determinant's coefficients sets the width of
-the decode (see ``alexander_burau``).  It costs polynomial time in the
-strand count and never consults the skein route or ``decompose``.
+``reduced_burau(word) - I`` times ``(t - 1) / (t^n - 1)``, that is,
+divided by ``1 + t + ... + t^(n-1)``.  It packs each entry of ``Z[t]``
+into one integer, its value at ``t = 2**bits``, updates one column of
+the matrix per letter, and takes the determinant by fraction-free
+Bareiss elimination over ``Z``.  A bound on the entries' l1 norms sets
+the digit width of the build, and Hadamard's bound on the determinant's
+coefficients sets the width of the decode (see ``alexander_burau``).
+It costs polynomial time in the strand count and never consults the
+skein route or ``decompose``.
 
 Both are normalised to the same graded Euler characteristic: the result
 of ``hfk_euler`` equals ``sum_(m,a) (-1)^m rank_m(L, a) t^a`` over the
@@ -232,41 +233,18 @@ def _unpack(value: int, bits: int) -> list[int]:
     return digits
 
 
-def _exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Quotient in ``Z[t]``; raises InexactDivisionError on a remainder."""
-    if b == [1] or not a:
-        return a
-    deg = len(b) - 1
-    if len(a) <= deg:
-        raise InexactDivisionError("nonzero remainder")
-    rem = list(a)
-    lead = b[-1]
-    out = [0] * (len(a) - deg)
-    for shift in range(len(out) - 1, -1, -1):
-        c = rem[shift + deg]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                raise InexactDivisionError("leading coefficient does not divide")
-            out[shift] = q
-            for k, v in enumerate(b, shift):
-                rem[k] -= q * v
-    if any(rem[:deg]):
-        raise InexactDivisionError("nonzero remainder")
-    return out
-
-
 def _bareiss_det(a: list[list[int]]) -> int:
     """Determinant by fraction-free elimination (Bareiss 1968), in place.
 
     Every update divides exactly by the previous pivot; a zero pivot is
     replaced by a later row with a nonzero entry in its column, and a
-    column with none gives determinant 0.
+    column with none gives determinant 0.  The last pivot is the
+    determinant, and the empty matrix has determinant 1.
     """
     size = len(a)
     sign = 1
     prev = 1
-    for k in range(size - 1):
+    for k in range(size):
         if not a[k][k]:
             for r in range(k + 1, size):
                 if a[r][k]:
@@ -284,7 +262,7 @@ def _bareiss_det(a: list[list[int]]) -> int:
                     raise InexactDivisionError("Bareiss step left a remainder")
                 row[j] = q
         prev = pivot
-    return sign * a[-1][-1]
+    return sign * prev
 
 
 def alexander_burau(w: BraidWord) -> HalfLaurent:
@@ -294,12 +272,16 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
     polynomial of the closure up to a unit; split inputs give 0.  The
     product with ``(t - 1)^(|L|-1)`` is centred and signed to be
     palindromic with positive top coefficient, matching ``hfk_euler``.
+    Since ``(1 + t + ... + t^(n-1)) (t - 1) = t^n - 1``, the determinant
+    times ``(t - 1)^|L|``, call it ``b``, is divided once by ``t^n - 1``:
+    ``q_k = q_(k-n) - b_k`` for every ``k``, and the last ``n`` must vanish.
 
     Entries of a positive word's matrix lie in ``Z[t]``, and each is kept
     packed as one integer, its value at ``t = 2**bits`` (Kronecker
-    substitution).  Right-multiplying by generator ``i`` changes only
-    column ``i``, to ``t*M[:,i-1] - t*M[:,i] + M[:,i+1]`` (a term past the
-    edge is dropped), so each letter costs ``O(n)`` integer updates.
+    substitution), in ``n + 1`` columns whose first and last stay zero.
+    Right-multiplying by generator ``i`` changes only column ``i``, to
+    ``t*M[:,i-1] - t*M[:,i] + M[:,i+1]``, so each letter costs ``O(n)``
+    integer updates.
 
     Two bounds make the packing exact.  A pass over the letters first
     bounds the l1 norm of the entries of each column, since the update
@@ -318,30 +300,30 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
     polynomial exceeds its maximum there.
     """
     n = w.strands
-    if n == 1:
-        return HalfLaurent.one()
-    size = n - 1
-    norms = [1] * size
+    norms = [0] + [1] * (n - 1) + [0]
     for i in w.letters:
-        norms[i - 1] += (norms[i - 2] if i > 1 else 0) + (norms[i] if i < size else 0)
+        norms[i] += norms[i - 1] + norms[i + 1]
     bits = max(norms).bit_length() + 2
-    cols = [[int(r == c) for r in range(size)] for c in range(size)]
-    edge = [0] * size
+    cols = [[int(r == c) for r in range(n - 1)] for c in range(-1, n)]  # I with a zero column either side
     for i in w.letters:
-        left = cols[i - 2] if i > 1 else edge
-        right = cols[i] if i < size else edge
-        cols[i - 1] = [((a - b) << bits) + c for a, b, c in zip(left, cols[i - 1], right)]
-    for c in range(size):
-        cols[c][c] -= 1
-    entries = [[_unpack(v, bits) for v in col] for col in cols]
+        cols[i] = [((a - b) << bits) + c for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])]
+    for c in range(1, n):
+        cols[c][c - 1] -= 1
+    entries = [[_unpack(v, bits) for v in col] for col in cols[1:n]]
     hadamard_sq = prod(sum(sum(map(abs, e)) ** 2 for e in col) for col in entries)
     bits = (isqrt(hadamard_sq) + 1).bit_length() + 2
     det = _bareiss_det([[_pack(e, bits) for e in col] for col in entries])
     if not det:
         return HalfLaurent.zero()
-    quotient = _exact_div(_unpack(det, bits), [1] * n)
-    for _ in range(closure_components(w) - 1):
-        quotient = [a - b for a, b in zip([0] + quotient, quotient + [0])]
+    b = _unpack(det, bits)
+    for _ in range(closure_components(w)):
+        b = [x - y for x, y in zip([0] + b, b + [0])]
+    q = [0] * n  # q[n + k] is q_k, after n zeros for q_(-n) .. q_(-1)
+    for k, v in enumerate(b):
+        q.append(q[k] - v)
+    if any(q[-n:]):
+        raise InexactDivisionError("nonzero remainder")
+    quotient = q[n:-n]
     lo = next(k for k, v in enumerate(quotient) if v)
     hi = len(quotient) - 1
     body = quotient[lo:]

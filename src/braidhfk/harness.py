@@ -418,9 +418,14 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     if s == 1 and p >= 2 and burau_poly is not None:
         prod = HalfLaurent.one()
-        for factor in lc.prime_words:
-            prod = prod * alexander_burau(factor)
-        checks["factor_product"] = prod == burau_poly
+        try:
+            for factor in lc.prime_words:
+                prod = prod * alexander_burau(factor)
+        except ArithmeticError as exc:
+            notes.append(f"burau engine: {exc} in {factor}, a factor of {w}")
+            checks["factor_product"] = False
+        else:
+            checks["factor_product"] = prod == burau_poly
     if s >= 2:
         checks["split_vanishing"] = (
             skein_poly is not None and not skein_poly

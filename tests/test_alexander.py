@@ -7,7 +7,6 @@ import sympy
 from braidhfk.alexander import (
     EngineFailure,
     _bareiss_det,
-    _exact_div,
     _pack,
     _unpack,
     alexander_burau,
@@ -269,11 +268,18 @@ class TestBurau:
             assert sympy.expand(sum(c * t ** k for k, c in enumerate(det)) - expected) == 0
         assert swaps and zeros
 
-    def test_exact_division_rejects_a_remainder(self):
-        assert _exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
-        for num, den in [([1, 0, 1], [1, 1]), ([1], [0, 1]), ([1, 1], [0, 2])]:
-            with pytest.raises(InexactDivisionError):
-                _exact_div(num, den)
+    def test_empty_determinant_is_one(self):
+        assert _bareiss_det([]) == 1
+
+    def test_division_by_t_n_minus_1_rejects_a_remainder(self, monkeypatch):
+        from braidhfk import alexander
+
+        def det_plus_one(a):
+            return _bareiss_det(a) + 1
+
+        monkeypatch.setattr(alexander, "_bareiss_det", det_plus_one)
+        with pytest.raises(InexactDivisionError, match="nonzero remainder"):
+            alexander_burau(BraidWord(2, (1, 1, 1)))
 
     @pytest.mark.parametrize("p", [*range(5, 17), 20, 24])
     def test_torus_knots_past_the_skein_range(self, p):

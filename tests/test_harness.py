@@ -16,6 +16,7 @@ from braidhfk.braidword import (
     RangeError,
     closure_genus,
     decompose,
+    parse_serialized,
 )
 from braidhfk.alexander import alexander_burau, hfk_euler
 from braidhfk.hfk import next_to_top_via_skein, predicted_next_to_top
@@ -262,6 +263,24 @@ class TestVerify:
         assert r.skein_euler is None
         assert r.second_coefficient == r.expected_second == -1
         assert r.checks["second_coefficient"] is True
+
+    def test_burau_failure_on_a_factor_is_a_note(self, monkeypatch):
+        from braidhfk import alexander
+
+        real = alexander._bareiss_det
+
+        def wrong_on_1x1(a):
+            return real(a) + (len(a) == 1)
+
+        # the two trefoil factors have 1x1 matrices, the whole word a 2x2 one
+        monkeypatch.setattr(alexander, "_bareiss_det", wrong_on_1x1)
+        r = verify(parse_serialized("strands=3: 1 1 1 2 2 2"))
+        assert r.checks["factor_product"] is False
+        assert r.checks["skein_equals_burau"] is True
+        assert [n for n in r.notes if n.startswith("burau engine: ")] == [
+            "burau engine: nonzero remainder in strands=2: 1 1 1,"
+            " a factor of strands=3: 1 1 1 2 2 2"
+        ]
 
     def test_reports_deterministic(self):
         words = corpus(3, 5)

@@ -81,6 +81,8 @@ def test_braid_relation(w, data):
 
 @settings(max_examples=300)
 @given(words(max_strands=7))
+@example(BraidWord(1, ()))  # one strand: the matrix has no columns
+@example(BraidWord(5, (1, 4, 1, 4)))  # only the letters beside the zero edge columns
 def test_packed_burau_matches_the_list_engine(w):
     assert alexander_burau(w) == burau_by_lists(w)
 
