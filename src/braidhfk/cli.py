@@ -12,11 +12,13 @@ import sys
 from typing import Optional
 
 from . import harness
-from .alexander import alexander_burau, hfk_euler
+from .alexander import EngineFailure, alexander_burau, hfk_euler
 from .braidword import DEFAULT_BUDGET, decompose, parse_serialized
 from .hfk import BigradedRank, next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
 from .kauffman import (
     KauffmanBudgetError,
+    MultiComponentError,
+    SplitDiagramError,
     bigraded_counts,
     build_diagram,
     counts_to_json,
@@ -66,29 +68,41 @@ def _cmd_info(args) -> int:
     return 0
 
 
+#: The engine failures ``verify`` records as notes.
+_ENGINE_FAILURES = {"skein": EngineFailure, "burau": ArithmeticError, "kauffman": KauffmanBudgetError}
+
+
 def _cmd_alexander(args) -> int:
+    """One engine, or all three side by side.  Under ``all`` an engine that
+    fails as ``verify`` notes, or Kauffman on a link, shows no value, and
+    ``agree`` compares the values shown; a single engine that fails exits 2."""
     w = parse_serialized(args.word)
-    methods = ["skein", "burau", "kauffman"] if args.method == "all" else [args.method]
+    methods = list(_ENGINE_FAILURES) if args.method == "all" else [args.method]
     values: dict[str, Optional[HalfLaurent]] = {}
+    lines = []
     for method in methods:
-        if method == "skein":
-            values[method] = hfk_euler(w, args.budget)
-        elif method == "burau":
-            values[method] = alexander_burau(w)
-        else:
-            try:
-                counts = bigraded_counts(build_diagram(w), args.budget)
-                values[method] = BigradedRank(counts).signed_euler()
-            except ValueError as exc:
-                if args.method == "kauffman":
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                values[method] = None
+        values[method] = None
+        try:
+            if method == "skein":
+                values[method] = hfk_euler(w, args.budget)
+            elif method == "burau":
+                values[method] = alexander_burau(w)
+            else:
+                values[method] = BigradedRank(bigraded_counts(build_diagram(w), args.budget)).signed_euler()
+            lines.append(f"{method}: {values[method]}")
+        except (MultiComponentError, SplitDiagramError):
+            if args.method != "all":
+                raise
+            lines.append(f"{method}: n/a (knots only)")
+        except _ENGINE_FAILURES[method] as exc:
+            if args.method != "all":
+                raise
+            print(f"{method} engine: {exc}", file=sys.stderr)
+            lines.append(f"{method}: n/a")
     payload = {
         "word": w.to_json(),
         "euler": {k: (None if v is None else v.to_pairs()) for k, v in values.items()},
     }
-    lines = [f"{k}: {v if v is not None else 'n/a (knots only)'}" for k, v in values.items()]
     if len(values) > 1:
         present = [v for v in values.values() if v is not None]
         agree = all(v == present[0] for v in present)

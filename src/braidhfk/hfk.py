@@ -43,7 +43,6 @@ from .braidword import (
     DEFAULT_BUDGET,
     MAX_STRANDS,
     RangeError,
-    SkeinTriple,
     closure_genus,
     find_adjacent_square,
     require_budget,
@@ -200,7 +199,7 @@ def triangle_solve(h_rank: int, minus_rank_neg1: int = 0) -> int:
 # The inductive computation
 # --------------------------------------------------------------------------
 
-_profile_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+_profile_cache: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
 
 def clear_caches() -> None:
@@ -210,41 +209,32 @@ def clear_caches() -> None:
 def _connected_rank(u: BraidWord, budget: int) -> int:
     """Rank of the next-to-top group of a connected closure at Maslov -1.
 
-    Each triangle step needs the rank of its oriented resolution
-    ``l_zero``, so the loop first walks down the chain of resolutions to
-    a word whose rank is known, then folds the steps back up.  The chain
-    ends at a memoised word or at genus 0, whose rank is 0; every other
-    rank, the Hopf link's and the trefoil's included, comes from a
-    triangle step.  The chain is as long as the crossing count, which is
-    why this is a loop and not a recursion.
+    Walks the chain of oriented resolutions ``l_zero`` down to genus 0
+    (rank 0) or a tabled word, then folds one triangle step per
+    resolution back up, in a loop as long as the crossing count.  A step
+    ``splits`` when its generator occurs exactly twice: ``l_minus`` is
+    then a two-piece union, and ``delta`` is 1.  The table key holds the
+    budget, so that no rank found under one budget answers another.
     """
-    chain: list[tuple[tuple[int, tuple[int, ...]], SkeinTriple]] = []
-    key = (u.strands, u.letters)
-    while key not in _profile_cache:
-        g = closure_genus(u)
-        if g == 0:
-            _profile_cache[key] = 0
+    steps: list[tuple[tuple[int, int, tuple[int, ...]], int, bool]] = []
+    g = closure_genus(u)
+    rank = 0
+    while g:
+        key = (budget, u.strands, u.letters)
+        if key in _profile_cache:
+            rank = _profile_cache[key]
             break
         sq = find_adjacent_square(u, budget)
         if sq is None:
             raise UnverifiableError(f"no doubled crossing found within budget for {u}")
         triple = resolve_square(sq)
-        g_minus = closure_genus(triple.l_minus)
         g_zero = closure_genus(triple.l_zero)
-        if not (g == g_minus + 1 == g_zero + triple.delta):
+        if not (g == closure_genus(triple.l_minus) + 1 == g_zero + triple.delta):
             raise NegativeRankError(f"genus bookkeeping violated at {sq}")
-        chain.append((key, triple))
-        u = triple.l_zero
-        key = (u.strands, u.letters)
-    rank = _profile_cache[key]
-    for key, triple in reversed(chain):
-        i = triple.l_plus.letters[0]
-        if triple.l_plus.letters.count(i) == 2:
-            # the resolved-to-negative word loses the generator entirely,
-            # splitting into two pieces whose top contributes F[0] + F[-1]
-            rank = triangle_solve(rank + 2, minus_rank_neg1=1)
-        else:
-            rank = triangle_solve(rank + (2 if triple.delta == 1 else 0))
+        steps.append((key, triple.delta, sq.letters.count(sq.letters[0]) == 2))
+        u, g = triple.l_zero, g_zero
+    for key, delta, splits in reversed(steps):
+        rank = triangle_solve(rank + 2 * delta, splits)
         _profile_cache[key] = rank
     return rank
 

@@ -52,6 +52,32 @@ class TestAlexander:
         assert code == 2
         assert "knot" in err
 
+    def test_all_keeps_the_engines_that_succeed(self, capsys):
+        # at budget 10 the Kauffman table of T(3,4) overflows, skein and
+        # Burau do not; on a link the skein sweep fails at budget 1
+        code, out, err = run(capsys, "alexander", "1 2 1 2 1 2 1 2", "--budget", "10", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["euler"]["kauffman"] is None
+        assert payload["euler"]["skein"] == payload["euler"]["burau"] is not None
+        assert payload["agree"] is True
+        assert err.startswith("kauffman engine: state table reached 12 entries")
+        code, out, err = run(capsys, "alexander", "1 1 2 2", "--budget", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "skein: n/a",
+            "burau: t^2 - 4 t + 6 - 4 t^-1 + t^-2",
+            "kauffman: n/a (knots only)",
+            "agree: True",
+        ]
+        assert err.startswith("skein engine: Hecke sweep")
+
+    def test_a_single_failing_engine_exits_2(self, capsys):
+        for method, budget in (("kauffman", "10"), ("skein", "1")):
+            code, out, err = run(capsys, "alexander", "1 2 1 2 1 2 1 2", "--budget", budget, "--method", method)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+
     def test_single_method(self, capsys):
         code, out, _ = run(capsys, "alexander", "1 1", "--method", "burau")
         assert code == 0

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from braidhfk.braidword import (
+    DEFAULT_BUDGET,
     MAX_LETTERS,
     MAX_STRANDS,
     BraidWord,
@@ -217,11 +218,17 @@ class TestVerify:
 
     def test_a_report_does_not_depend_on_the_call_before(self):
         # T(5,6)'s skein sweep needs tables of 120 entries: at 119 it fails
-        # after a failed call and after a passing one, and at 120 it passes
-        budgets = (119, 119, 120, 120, 119)
-        reports = [verify(torus(5, 6), budget=b).to_json() for b in budgets]
-        assert reports[0] == reports[1] == reports[4] != reports[2] == reports[3]
-        assert [r["checks"]["skein_equals_burau"] for r in reports] == [b == 120 for b in budgets]
+        # after a failed call and after a passing one, and at 120 it passes.
+        # The simple braid's next-to-top chain needs a walk of 3 conjugates:
+        # at budget 1 it fails even after the default budget tabled its rank
+        cases = [
+            (torus(5, 6), (119, 119, 120, 120, 119), "skein_equals_burau"),
+            (BraidWord(5, (1, 2, 3, 2, 4)), (1, DEFAULT_BUDGET, 1), "formula_matches_recursion"),
+        ]
+        for w, budgets, check in cases:
+            reports = [verify(w, budget=b).to_json() for b in budgets]
+            assert [reports[budgets.index(b)] for b in budgets] == reports
+            assert [r["checks"][check] for r in reports] == [b == max(budgets) for b in budgets]
 
     def test_both_skein_routes_reach_t67(self):
         w = torus(6, 7)

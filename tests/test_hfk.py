@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 
 import pytest
 
 from braidhfk.braidword import (
+    DEFAULT_BUDGET,
     MAX_STRANDS,
     BraidWord,
     RangeError,
     closure_components,
     closure_genus,
     decompose,
+    find_adjacent_square,
+    resolve_square,
 )
 from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, t2, torus
 from braidhfk.hfk import (
@@ -132,15 +136,16 @@ class TestSkeinRecursion:
 
     def test_hopf_and_trefoil_are_one_step_from_the_unknot(self):
         # genus 0 is the only base case: from empty tables, the Hopf link's
-        # rank 2 and the trefoil's rank 1 are triangle steps from 1 on two
-        # strands, which is memoised at rank 0
+        # rank 2 and the trefoil's rank 1 are triangle steps from rank 0 at
+        # the unknot 1 on two strands, which is never tabled
         from braidhfk import hfk
 
-        for letters, chain in [((1, 1), {(1, 1): 2, (1,): 0}),
-                               ((1, 1, 1), {(1, 1, 1): 1, (1, 1): 2, (1,): 0})]:
+        for letters, chain in [((1,), {}),
+                               ((1, 1), {(1, 1): 2}),
+                               ((1, 1, 1), {(1, 1, 1): 1, (1, 1): 2})]:
             hfk.clear_caches()
             next_to_top_via_skein(BraidWord(2, letters))
-            assert hfk._profile_cache == {(2, k): v for k, v in chain.items()}
+            assert hfk._profile_cache == {(DEFAULT_BUDGET, 2, k): v for k, v in chain.items()}
         hfk.clear_caches()
 
     def test_t24(self):
@@ -185,6 +190,38 @@ class TestSkeinRecursion:
     def test_chain_longer_than_the_recursion_limit(self):
         # 1101 crossings resolve one at a time along the l_zero chain
         assert next_to_top_via_skein(t2(1101)) == predicted_next_to_top(1, 1, 1, 550)
+
+    def test_a_split_step_has_delta_one(self):
+        # the fold's one rule adds 2 * delta on every step: when the
+        # generator occurs exactly twice, l_minus lacks it, so the strands
+        # 1..i and i+1..n are never exchanged and l_zero joins two cycles
+        splits = 0
+        for w in corpus(4, 8):
+            if not w.is_connected:
+                continue
+            while closure_genus(w):
+                sq = find_adjacent_square(w)
+                triple = resolve_square(sq)
+                if sq.letters.count(sq.letters[0]) == 2:
+                    assert triple.delta == 1, sq
+                    splits += 1
+                w = triple.l_zero
+        assert splits
+
+    def test_the_chain_holds_little_beyond_its_table(self):
+        # a step keeps its key, delta and split flag, not its three words
+        from braidhfk import hfk
+
+        w = t2(400)
+        hfk.clear_caches()
+        tracemalloc.start()
+        try:
+            next_to_top_via_skein(w)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            hfk.clear_caches()
+        assert peak <= 1.5 * retained
 
     def test_unverifiable_on_tiny_budget(self):
         from braidhfk import hfk
