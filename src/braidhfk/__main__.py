@@ -1,0 +1,6 @@
+"""``python -m braidhfk``: the command line interface of ``cli.main``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

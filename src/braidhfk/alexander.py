@@ -101,12 +101,12 @@ def _times_t(table: dict[tuple[int, ...], int], i: int, n: int, bits: int) -> di
     return out
 
 
-def _require_entries(table: dict, budget: int, name: str, where: str) -> None:
-    if len(table) > budget:
-        raise EngineFailure(f"Hecke sweep of {name} passed the budget of {budget} entries {where}")
+def _over_budget(u: BraidWord, w: BraidWord, budget: int, where: str) -> EngineFailure:
+    name = str(u) if u == w else f"{u}, a factor of {w},"
+    return EngineFailure(f"Hecke sweep of {name} passed the budget of {budget} entries {where}")
 
 
-def _sweep(u: BraidWord, budget: int, name: str) -> ConwayPoly:
+def _sweep(u: BraidWord, budget: int, w: BraidWord) -> ConwayPoly:
     """Conway polynomial of a connected word's closure, as the trace of
     the word in the Hecke algebra.
 
@@ -128,14 +128,16 @@ def _sweep(u: BraidWord, budget: int, name: str) -> ConwayPoly:
 
     ``budget`` caps the entries of every table, the sweep's after each
     letter and the trace's after each product; ``EngineFailure`` names
-    the letter or the strand where one first held more.
+    the letter or the strand where one first held more, and ``w``, the
+    word ``u`` is a prime factor of, when it is not ``u`` itself.
     """
     n = u.strands
     bits = ceil(len(u.letters) * _LOG2_PHI) + 2
     table = {tuple(range(n)): 1}
     for k, i in enumerate(u.letters, 1):
         table = _times_t(table, i, n, bits)
-        _require_entries(table, budget, name, f"after letter {k}")
+        if len(table) > budget:
+            raise _over_budget(u, w, budget, f"after letter {k}")
     for m in range(n, 1, -1):
         top = m - 1
         groups: list[dict[tuple[int, ...], int]] = [{} for _ in range(top)]
@@ -148,7 +150,8 @@ def _sweep(u: BraidWord, budget: int, name: str) -> ConwayPoly:
             table = _times_t(table, j, top, bits)
             for key, c in groups[j].items():
                 table[key] = table.get(key, 0) + c
-            _require_entries(table, budget, name, f"destabilising strand {m}")
+            if len(table) > budget:
+                raise _over_budget(u, w, budget, f"destabilising strand {m}")
     return ConwayPoly(_unpack(table.get((0,), 0), bits))
 
 
@@ -164,11 +167,9 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     require_budget(budget)
     if not w.is_connected:
         return ConwayPoly.zero()
-    factors = prime_factors(w)
     result = ConwayPoly.one()
-    for u in factors:
-        name = str(u) if factors == [w] else f"{u}, a factor of {w},"
-        result = result * _sweep(u, budget, name)
+    for u in prime_factors(w):
+        result = result * _sweep(u, budget, w)
     return result
 
 

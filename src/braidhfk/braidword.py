@@ -190,20 +190,20 @@ def parse_serialized(text: str) -> BraidWord:
     return parse_braid(text)
 
 
-def permutation_of(w: BraidWord) -> tuple[int, ...]:
-    """The strand permutation of the word (0-based positions)."""
-    perm = list(range(w.strands))
-    for i in w.letters:
+def permutation_of(strands: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The strand permutation of a word: the strand at each position
+    (0-based) after its letters, read in one pass."""
+    perm = list(range(strands))
+    for i in letters:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return tuple(perm)
 
 
-def closure_components(w: BraidWord) -> int:
-    """Number of components of the closure: cycle count of the strand permutation."""
-    perm = permutation_of(w)
-    seen = [False] * w.strands
+def cycle_count(perm: tuple[int, ...]) -> int:
+    """Number of cycles of a permutation given as its list of images."""
+    seen = [False] * len(perm)
     cycles = 0
-    for start in range(w.strands):
+    for start in range(len(perm)):
         if seen[start]:
             continue
         cycles += 1
@@ -212,6 +212,11 @@ def closure_components(w: BraidWord) -> int:
             seen[j] = True
             j = perm[j]
     return cycles
+
+
+def closure_components(w: BraidWord) -> int:
+    """Number of components of the closure: cycle count of the strand permutation."""
+    return cycle_count(permutation_of(w.strands, w.letters))
 
 
 def closure_genus(w: BraidWord) -> int:
@@ -307,8 +312,8 @@ def _exchange(strands: int, u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _simple_conjugate_square(w: BraidWord, budget: int) -> Optional[tuple[int, ...]]:
-    """A doubled crossing in a rotation of the simple braid ``w``, found by
+def _simple_conjugate_square(strands: int, u: tuple[int, ...], budget: int) -> Optional[tuple[int, ...]]:
+    """A doubled crossing in a rotation of the simple braid ``u``, found by
     a breadth-first walk over its simple conjugates; None when the first
     ``budget`` conjugates hold none, or when every conjugate is simple.
 
@@ -325,8 +330,7 @@ def _simple_conjugate_square(w: BraidWord, budget: int) -> Optional[tuple[int, .
     rotation leaves the simple braids, so the walk misses no square that
     the word orbit holds.
     """
-    strands = w.strands
-    seen = {permutation_of(w)}
+    seen = {permutation_of(strands, u)}
     queue = deque(seen)
     for _ in range(budget):
         if not queue:
@@ -349,6 +353,15 @@ def _simple_conjugate_square(w: BraidWord, budget: int) -> Optional[tuple[int, .
                 seen.add(nb)
                 queue.append(nb)
     return None
+
+
+def _square_letters(strands: int, u: tuple[int, ...], budget: int) -> Optional[tuple[int, ...]]:
+    """The search of ``find_adjacent_square``, after its guards, on a
+    connected word of positive genus given by its letters: ``u``
+    rewritten as ``(i, i, ...)``, or None.  The next-to-top chain calls it
+    directly, so that a step builds no ``BraidWord``.
+    """
+    return _exchange(strands, u) or _simple_conjugate_square(strands, u, budget)
 
 
 def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional[BraidWord]:
@@ -378,7 +391,7 @@ def find_adjacent_square(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Optional
     if closure_genus(w) == 0:
         return None
     require_budget(budget)
-    hit = _exchange(w.strands, w.letters) or _simple_conjugate_square(w, budget)
+    hit = _square_letters(w.strands, w.letters, budget)
     return None if hit is None else BraidWord(w.strands, hit)
 
 

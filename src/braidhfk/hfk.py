@@ -43,10 +43,11 @@ from .braidword import (
     DEFAULT_BUDGET,
     MAX_STRANDS,
     RangeError,
+    _square_letters,
     closure_genus,
-    find_adjacent_square,
+    cycle_count,
+    permutation_of,
     require_budget,
-    resolve_square,
     split_pieces,
 )
 from .polynomials import HalfLaurent
@@ -215,24 +216,40 @@ def _connected_rank(u: BraidWord, budget: int) -> int:
     ``splits`` when its generator occurs exactly twice: ``l_minus`` is
     then a two-piece union, and ``delta`` is 1.  The table key holds the
     budget, so that no rank found under one budget answers another.
+
+    A step works on letter tuples and reads one permutation, that of
+    ``l_minus = b``: ``s_i s_i`` permutes nothing, so the square has the
+    same one, and ``l_zero = s_i b`` has it with the strands ``i-1`` and
+    ``i`` swapped, so one component more than ``b`` when they share a
+    cycle and one fewer otherwise.
     """
+    n, letters = u.strands, u.letters
     steps: list[tuple[tuple[int, int, tuple[int, ...]], int, bool]] = []
     g = closure_genus(u)
     rank = 0
     while g:
-        key = (budget, u.strands, u.letters)
+        key = (budget, n, letters)
         if key in _profile_cache:
             rank = _profile_cache[key]
             break
-        sq = find_adjacent_square(u, budget)
+        sq = _square_letters(n, letters, budget)
         if sq is None:
-            raise UnverifiableError(f"no doubled crossing found within budget for {u}")
-        triple = resolve_square(sq)
-        g_zero = closure_genus(triple.l_zero)
-        if not (g == closure_genus(triple.l_minus) + 1 == g_zero + triple.delta):
-            raise NegativeRankError(f"genus bookkeeping violated at {sq}")
-        steps.append((key, triple.delta, sq.letters.count(sq.letters[0]) == 2))
-        u, g = triple.l_zero, g_zero
+            raise UnverifiableError(
+                f"no doubled crossing found within budget for {BraidWord(n, letters)}"
+            )
+        i, b = sq[0], sq[2:]
+        perm = permutation_of(n, b)
+        # the genus carried down must be g(l_minus) + 1, read from b itself
+        if g != (cycle_count(perm) - n + len(b)) // 2 + 1:
+            raise NegativeRankError(f"genus bookkeeping violated at {BraidWord(n, sq)}")
+        # l_zero swaps strands i-1 and i: it splits their cycle when they
+        # share one (delta 0), and joins their two cycles otherwise
+        j = perm[i - 1]
+        while j != i - 1 and j != i:
+            j = perm[j]
+        delta = 0 if j == i else 1
+        steps.append((key, delta, i not in b))
+        letters, g = sq[1:], g - delta
     for key, delta, splits in reversed(steps):
         rank = triangle_solve(rank + 2 * delta, splits)
         _profile_cache[key] = rank

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "strands=100000: 1")
         assert code == 2
         assert "strands" in err
+
+    def test_runs_as_a_module(self):
+        # ``python -m braidhfk`` needs only the source tree on the path
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "braidhfk", "verify", "1 1 1"],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "=> PASS" in done.stdout
 
 
 class TestCorpus:

@@ -29,6 +29,24 @@ from braidhfk.hfk import (
 )
 
 
+def reference_chain(w, budget=DEFAULT_BUDGET):
+    """The table the next-to-top chain of a connected word fills from
+    empty, built step by step from the public pieces, and the number of
+    steps whose generator occurs exactly twice."""
+    steps = []
+    while closure_genus(w):
+        sq = find_adjacent_square(w, budget)
+        triple = resolve_square(sq)
+        splits = sq.letters.count(sq.letters[0]) == 2
+        steps.append(((budget, w.strands, w.letters), triple.delta, splits))
+        w = triple.l_zero
+    table, rank = {}, 0
+    for key, delta, splits in reversed(steps):
+        rank = triangle_solve(rank + 2 * delta, splits)
+        table[key] = rank
+    return table, sum(splits for _, _, splits in steps)
+
+
 class TestBigradedRank:
     def test_unit_is_identity(self):
         assert BigradedRank.unit().tensor(J) == J
@@ -222,6 +240,54 @@ class TestSkeinRecursion:
             tracemalloc.stop()
             hfk.clear_caches()
         assert peak <= 1.5 * retained
+
+    def test_the_chain_fills_the_reference_table(self):
+        # the chain's step, read off one permutation, walks the chain that
+        # find_adjacent_square, resolve_square and triangle_solve walk
+        from braidhfk import hfk
+
+        words = [w for w in corpus(4, 8) if w.is_connected]
+        try:
+            for w in words + [torus(7, 8), t2(61), figure3()]:
+                hfk.clear_caches()
+                next_to_top_via_skein(w)
+                assert hfk._profile_cache == reference_chain(w)[0], w
+        finally:
+            hfk.clear_caches()
+
+    def test_a_step_builds_no_word(self, monkeypatch):
+        # building l_minus, l_zero and the square as words at every step
+        # made the chain quadratic in its length: 1,198 words on T(2,400)
+        from braidhfk import hfk
+
+        w = t2(400)
+        built = []
+        post_init = BraidWord.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BraidWord, "__post_init__", counted)
+        hfk.clear_caches()
+        try:
+            next_to_top_via_skein(w)
+        finally:
+            hfk.clear_caches()
+        assert len(built) <= 5
+
+    def test_rank_counts_components_and_split_steps(self):
+        # the rank at (-1, g-1) of a connected closure is |L| - 1 + S, where
+        # S counts the chain's steps whose generator occurs exactly twice,
+        # and S is the number of prime factors
+        words = [w for w in corpus(4, 8) if w.is_connected and closure_genus(w)]
+        assert len(words) == 347
+        for w in words:
+            _, s = reference_chain(w)
+            g = closure_genus(w)
+            rank = next_to_top_via_skein(w).rank_at(-1, g - 1)
+            assert rank == closure_components(w) - 1 + s, w
+            assert s == decompose(w).prime_count, w
 
     def test_unverifiable_on_tiny_budget(self):
         from braidhfk import hfk

@@ -212,7 +212,8 @@ def test_two_steps_find_every_pair_the_gap_check_sees(w):
     # same pair of strands, so the exchange hits; the one exception wraps
     # past the end of a simple braid, and the walk's first conjugate has it
     assume(closure_genus(w) > 0 and adjacent_pair_by_gaps(w.letters) is not None)
-    assert _exchange(w.strands, w.letters) is not None or _simple_conjugate_square(w, 1) is not None
+    assert (_exchange(w.strands, w.letters) is not None
+            or _simple_conjugate_square(w.strands, w.letters, 1) is not None)
 
 
 def joined_up(w):
