@@ -333,14 +333,25 @@ class VerificationReport:
 
 
 def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Run every engine on one word and cross-check the results."""
+    """Run every engine on one word and cross-check the results.
+
+    Checks of the Euler characteristic read ``euler_poly``: skein's, or Burau's when skein
+    failed.  Only ``skein_equals_burau`` and ``split_vanishing`` compare the engines, so a
+    failing engine fails only its own checks.  Five checks cannot fail:
+
+    * ``decompose_verified``: the reductions of ``decompose`` are complete.
+    * ``reduced_graph_forest``: a braid word's Seifert edges join neighbouring strands.
+    * ``component_parity``: a word's permutation has sign (-1)^len = (-1)^(n-mu), and
+      ``euler_and_genus`` raises ``ParityError`` on it first, so it never reads False.
+    * ``genus_nonnegative``: each letter moves the cycle count by one, so mu >= n - len.
+    * ``kauffman_maslov_band``: Maslov weights are 0 and -1 (False only past the budget).
+    """
     t0 = time.perf_counter()
     checks: dict[str, bool] = {}
     notes: list[str] = []
 
     lc = decompose(w)
-    components = lc.components
-    s, p = lc.split_count, lc.prime_count
+    components, s, p = lc.components, lc.split_count, lc.prime_count
     graph = from_braid(w)
     chi, g = euler_and_genus(graph, components)
     fibered = fibered_positive(graph)
@@ -361,9 +372,8 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
         burau_poly = alexander_burau(w)
     except ArithmeticError as exc:
         notes.append(f"burau engine: {exc}")
-    checks["skein_equals_burau"] = (
-        skein_poly is not None and burau_poly is not None and skein_poly == burau_poly
-    )
+    checks["skein_equals_burau"] = skein_poly is not None and skein_poly == burau_poly
+    euler_poly = skein_poly if skein_poly is not None else burau_poly
 
     if components == 1:
         try:
@@ -374,20 +384,17 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
                 checks[name] = False
         else:
             kauffman_poly = BigradedRank(counts).signed_euler()
-            checks["kauffman_matches"] = kauffman_poly == skein_poly
+            checks["kauffman_matches"] = kauffman_poly == euler_poly
             top_slice = {(m, a): c for (m, a), c in counts.items() if a == g}
             checks["kauffman_top_state_unique"] = top_slice == {(0, g): 1}
             checks["kauffman_maslov_band"] = all(m <= 0 for m, _ in counts)
 
-    if skein_poly is not None:
-        checks["palindromic"] = skein_poly.is_symmetric()
+    if euler_poly is not None:
+        checks["palindromic"] = euler_poly.is_symmetric()
         if s == 1:
-            checks["top_coefficient"] = skein_poly.coefficient(g) == 1
+            checks["top_coefficient"] = euler_poly.coefficient(g) == 1
         else:
-            checks["top_coefficient"] = not skein_poly
-    else:
-        checks["palindromic"] = False
-        checks["top_coefficient"] = False
+            checks["top_coefficient"] = not euler_poly
 
     pred_top = predicted_top(s, g)
     pred_ntt = predicted_next_to_top(p, s, components, g)
@@ -400,8 +407,6 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     second: Optional[int] = None
     expected_second: Optional[int] = None
-    # Burau stands in past the skein route's reach, so p is still checked
-    euler_poly = skein_poly if skein_poly is not None else burau_poly
     if s == 1 and euler_poly is not None:
         second = euler_poly.coefficient(g - 1)
         expected_second = -(p + components - s)
@@ -409,12 +414,9 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
         if g >= 1:
             checks["next_to_top_nonzero"] = pred_ntt.rank_at(-1, g - 1) >= 1
 
-    if skein_poly is not None:
+    if euler_poly is not None:
         euler = (pred_top + pred_ntt).signed_euler()
-        checks["euler_top_slice"] = (
-            euler.coefficient(g) == skein_poly.coefficient(g)
-            and euler.coefficient(g - 1) == skein_poly.coefficient(g - 1)
-        )
+        checks["euler_top_slice"] = all(euler.coefficient(a) == euler_poly.coefficient(a) for a in (g, g - 1))
 
     if s == 1 and p >= 2 and burau_poly is not None:
         prod = HalfLaurent.one()
@@ -427,10 +429,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
         else:
             checks["factor_product"] = prod == burau_poly
     if s >= 2:
-        checks["split_vanishing"] = (
-            skein_poly is not None and not skein_poly
-            and burau_poly is not None and not burau_poly
-        )
+        checks["split_vanishing"] = skein_poly == burau_poly == HalfLaurent.zero()
 
     return VerificationReport(
         word=w,

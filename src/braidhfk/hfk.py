@@ -28,6 +28,17 @@ The next-to-top Alexander grading is computed two independent ways:
   (see ``triangle_solve``).  A split closure sums its pieces' ranks and
   tensors with ``V^(x)(s-1)``.
 
+Summed along the chain, the fold is a count.  A connected closure with
+``mu`` components on ``n`` strands and ``len`` letters has genus
+``g = (mu - n + len) / 2``; its chain ends at an unknot of ``n - 1``
+letters, so it takes ``N = len - n + 1`` steps, and genus drops by one
+on ``g`` of them.  With ``S`` split steps (the resolved generator occurs
+exactly twice; these always drop genus), the rank at ``(-1, g-1)`` is
+``2S + (g - S) - (N - g) = mu - 1 + S``.  The closed formula puts
+``p + mu - 1`` there, so comparing the two routes checks that the chain
+meets exactly ``p`` split steps; ``tests/test_hfk.py`` pins ``S = p`` on
+the connected words of positive genus in ``corpus(4, 8)``.
+
 ``rn_next_to_top`` runs the same triangle step for the rings of ``n``
 linked unknots, whose clasp resolutions are a smaller ring and a
 connected sum of Hopf links.

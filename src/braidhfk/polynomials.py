@@ -16,6 +16,15 @@ class InexactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where none is possible."""
 
 
+def _join_terms(parts: list[tuple[str, str]]) -> str:
+    """``(sign, body)`` terms, highest first, as ``body - body + body``; no terms is ``0``."""
+    if not parts:
+        return "0"
+    first_sign, first_body = parts[0]
+    head = "-" + first_body if first_sign == "-" else first_body
+    return head + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
 class HalfLaurent:
     """Finitely supported map from doubled exponents to integer coefficients."""
 
@@ -132,9 +141,7 @@ class HalfLaurent:
         return [[k, self._c[k]] for k in sorted(self._c, reverse=True)]
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts: list[str] = []
+        parts: list[tuple[str, str]] = []
         for k in sorted(self._c, reverse=True):
             v = self._c[k]
             sign = "-" if v < 0 else "+"
@@ -146,11 +153,7 @@ class HalfLaurent:
                 var = "t" if e == "1" else f"t^{e}"
                 body = var if mag == 1 else f"{mag} {var}"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_terms(parts)
 
     def __repr__(self) -> str:
         return f"HalfLaurent({self._c!r})"
@@ -226,8 +229,6 @@ class ConwayPoly:
         return HalfLaurent({j - m: c for j, c in enumerate(dense) if c})
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
         parts: list[tuple[str, str]] = []
         for i in range(len(self._c) - 1, -1, -1):
             v = self._c[i]
@@ -241,11 +242,7 @@ class ConwayPoly:
                 var = "z" if i == 1 else f"z^{i}"
                 body = var if mag == 1 else f"{mag} {var}"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_terms(parts)
 
     def __repr__(self) -> str:
         return f"ConwayPoly({list(self._c)!r})"

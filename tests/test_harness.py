@@ -271,6 +271,26 @@ class TestVerify:
         assert r.second_coefficient == r.expected_second == -1
         assert r.checks["second_coefficient"] is True
 
+    # a knot, a torus knot, a composite word (factor_product runs) and a split word
+    @pytest.mark.parametrize("w, compared", [
+        (figure3(), {"skein_equals_burau"}),
+        (torus(3, 4), {"skein_equals_burau"}),
+        (connected_sum(torus(2, 3), torus(2, 3)), {"skein_equals_burau"}),
+        (disjoint_union(torus(2, 3), torus(2, 2)), {"skein_equals_burau", "split_vanishing"}),
+    ])
+    def test_a_failing_skein_engine_fails_only_the_comparisons(self, w, compared, monkeypatch):
+        from braidhfk import harness
+        from braidhfk.alexander import EngineFailure
+
+        def failing(*args):
+            raise EngineFailure("skein route unavailable")
+
+        monkeypatch.setattr(harness, "hfk_euler", failing)
+        r = verify(w)
+        assert {name for name, ok in r.checks.items() if not ok} == compared
+        assert "euler_top_slice" in r.checks
+        assert r.notes == ("skein engine: skein route unavailable",)
+
     def test_burau_failure_on_a_factor_is_a_note(self, monkeypatch):
         from braidhfk import alexander
 

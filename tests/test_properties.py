@@ -2,8 +2,8 @@
 words, the doubled-crossing search returns squares of the move orbit and
 misses no pair the gap check sees, the Kauffman sweep counts what the
 enumerator lists, the Hecke sweep agrees with the skein tree, the engines
-obey the connected-sum and disjoint-union laws, and random words pass
-``verify``.
+obey the connected-sum and disjoint-union laws, random words pass
+``verify``, and the facts behind its five structural checks hold.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
@@ -25,12 +25,14 @@ from braidhfk.braidword import (
     _simple_conjugate_square,
     closure_components,
     closure_genus,
+    decompose,
     find_adjacent_square,
 )
 from braidhfk.harness import connected_sum, disjoint_union, verify
 from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
 from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
 from braidhfk.polynomials import HalfLaurent
+from braidhfk.seifert import fibered_positive, from_braid
 from burau_oracle import burau_by_lists
 from skein_tree_oracle import conway_by_skein_tree
 from square_oracle import (
@@ -327,3 +329,16 @@ def test_random_words_pass_verify(w):
     # every engine on one word, and every cross-check between them
     report = verify(w)
     assert report.overall_pass, report.render_text()
+
+
+@PROPERTY
+@given(words(min_strands=1, max_strands=8, max_len=60), knot_words())
+@example(BraidWord(8, (tuple(range(1, 8)) * 9)[:60]), BraidWord(2, (1, 1, 1)))  # drawn lists run short
+def test_the_structural_checks_cannot_fail(w, knot):
+    # verify's docstring argues why each of these five checks is always true
+    n, length, mu = w.strands, len(w), closure_components(w)
+    assert (mu - n + length) % 2 == 0  # component_parity
+    assert mu >= n - length  # genus_nonnegative
+    assert fibered_positive(from_braid(w))  # reduced_graph_forest
+    assert decompose(w).verified  # decompose_verified
+    assert all(m <= 0 for m, _ in bigraded_counts(build_diagram(knot)))  # kauffman_maslov_band
