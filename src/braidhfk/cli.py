@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import harness
 from .alexander import EngineFailure, alexander_burau, hfk_euler
-from .braidword import DEFAULT_BUDGET, decompose, parse_serialized
+from .braidword import DEFAULT_BUDGET, closure_genus, decompose, parse_serialized
 from .hfk import BigradedRank, next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
 from .kauffman import (
     KauffmanBudgetError,
@@ -115,7 +115,7 @@ def _cmd_alexander(args) -> int:
 def _cmd_hfk(args) -> int:
     w = parse_serialized(args.word)
     lc = decompose(w)
-    _, g = euler_and_genus(from_braid(w), lc.components)
+    g = closure_genus(w)
     top = predicted_top(lc.split_count, g)
     formula = predicted_next_to_top(lc.prime_count, lc.split_count, lc.components, g)
     recursion = next_to_top_via_skein(w, args.budget)

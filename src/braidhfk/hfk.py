@@ -14,30 +14,37 @@ The next-to-top Alexander grading is computed two independent ways:
 * ``predicted_next_to_top`` is the closed formula
   ``F^(p+|L|-s)[-1] (x) (F[0] + F[-1])^(x)(s-1)`` placed at
   ``A = g - 1``, driven by the split/prime decomposition;
-* ``next_to_top_via_skein`` never decomposes: it resolves doubled
-  crossings and walks the skein exact triangle, in which the map out of
-  the top group of the resolved-to-negative term vanishes and the map
-  into the oriented resolution's contribution is injective.  Each
-  resolution strictly drops the crossing count.  For a connected
-  closure the walk carries one integer, the rank at
-  ``(M, A) = (-1, g-1)``.  It starts at 0 on a genus-0 closure (an
-  unknot), the only base case, and each step adds 2 (the resolved
-  generator occurs exactly twice), 1 (the oriented resolution has fewer
-  components) or -1 (it has more); so the Hopf link ``1 1`` gets 2 and
-  the trefoil ``1 1 1`` gets 1 in one step each.  Maslov 0 stays empty
-  (see ``triangle_solve``).  A split closure sums its pieces' ranks and
-  tensors with ``V^(x)(s-1)``.
+* ``next_to_top_via_skein`` never decomposes: it resolves a doubled
+  crossing ``s_i s_i b`` into ``l_minus = b`` and ``l_zero = s_i b``
+  along the chain of ``l_zero`` resolutions, and counts the split steps,
+  whose generator occurs exactly twice (``l_minus`` is a two-piece union).
 
-Summed along the chain, the fold is a count.  A connected closure with
-``mu`` components on ``n`` strands and ``len`` letters has genus
-``g = (mu - n + len) / 2``; its chain ends at an unknot of ``n - 1``
-letters, so it takes ``N = len - n + 1`` steps, and genus drops by one
-on ``g`` of them.  With ``S`` split steps (the resolved generator occurs
-exactly twice; these always drop genus), the rank at ``(-1, g-1)`` is
-``2S + (g - S) - (N - g) = mu - 1 + S``.  The closed formula puts
-``p + mu - 1`` there, so comparing the two routes checks that the chain
-meets exactly ``p`` split steps; ``tests/test_hfk.py`` pins ``S = p`` on
-the connected words of positive genus in ``corpus(4, 8)``.
+The count is the skein exact triangle summed along the chain.  The map
+out of the top group of the resolved-to-negative term vanishes and the
+map into the oriented resolution's contribution is injective, so a step
+(``triangle_solve``) moves the rank at ``(M, A) = (-1, g-1)`` by +2 when
+it splits, +1 when ``l_zero`` has fewer components and -1 when it has
+more; Maslov 0 stays empty.  A connected closure with ``mu`` components
+on ``n`` strands and ``len`` letters has genus ``g = (mu - n + len) / 2``.
+Its chain ends at the only base case, an unknot of ``n - 1`` letters and
+rank 0, in ``N = len - n + 1`` steps, ``g`` of which drop the genus.  With
+``S`` split steps (each drops the genus) the rank is
+``2S + (g - S) - (N - g) = mu - 1 + S``, and a split closure sums its
+pieces' ranks and tensors with ``V^(x)(s-1)``.  The closed formula puts
+``p + mu - 1`` there, so the two routes agree when the chain meets
+exactly ``p`` split steps.
+
+So the chain carries no rank, genus or permutation, and the checks of
+the fold it replaces cannot fire.  ``l_zero`` is connected (``b`` lacks
+at most ``s_i``, which ``l_zero`` puts back), and a connected word, with
+every generator and at least one component, has genus 0 exactly when it
+has ``n - 1`` letters.  ``l_minus`` has the square's permutation and two
+letters fewer, so genus ``g - 1``, as long as the square search keeps the
+closure (the tests check each square against the move orbit).  And when
+``l_zero`` has more components it has at least two, so its rank
+``mu - 1 + S`` meets the bound ``h >= 1`` of ``triangle_solve``.  The fold
+lives on as ``reference_chain`` in ``tests/test_hfk.py``, which also pins
+``S = p`` on the connected words of positive genus in ``corpus(4, 8)``.
 
 ``rn_next_to_top`` runs the same triangle step for the rings of ``n``
 linked unknots, whose clasp resolutions are a smaller ring and a
@@ -55,9 +62,8 @@ from .braidword import (
     MAX_STRANDS,
     RangeError,
     _square_letters,
+    closure_components,
     closure_genus,
-    cycle_count,
-    permutation_of,
     require_budget,
     split_pieces,
 )
@@ -218,53 +224,33 @@ def clear_caches() -> None:
     _profile_cache.clear()
 
 
-def _connected_rank(u: BraidWord, budget: int) -> int:
-    """Rank of the next-to-top group of a connected closure at Maslov -1.
+def _split_steps(u: BraidWord, budget: int) -> int:
+    """Number of split steps on the ``l_zero`` chain of a connected word.
 
-    Walks the chain of oriented resolutions ``l_zero`` down to genus 0
-    (rank 0) or a tabled word, then folds one triangle step per
-    resolution back up, in a loop as long as the crossing count.  A step
-    ``splits`` when its generator occurs exactly twice: ``l_minus`` is
-    then a two-piece union, and ``delta`` is 1.  The table key holds the
-    budget, so that no rank found under one budget answers another.
-
-    A step works on letter tuples and reads one permutation, that of
-    ``l_minus = b``: ``s_i s_i`` permutes nothing, so the square has the
-    same one, and ``l_zero = s_i b`` has it with the strands ``i-1`` and
-    ``i`` swapped, so one component more than ``b`` when they share a
-    cycle and one fewer otherwise.
+    Walks the chain until a word has ``n - 1`` letters (genus 0) or is
+    tabled, and then tables, for each word walked, the split steps from it
+    down.  The table key holds the budget, so that no count found under
+    one budget answers another.
     """
     n, letters = u.strands, u.letters
-    steps: list[tuple[tuple[int, int, tuple[int, ...]], int, bool]] = []
-    g = closure_genus(u)
-    rank = 0
-    while g:
+    walked: list[tuple[tuple[int, int, tuple[int, ...]], bool]] = []
+    count = 0
+    while len(letters) >= n:
         key = (budget, n, letters)
         if key in _profile_cache:
-            rank = _profile_cache[key]
+            count = _profile_cache[key]
             break
         sq = _square_letters(n, letters, budget)
         if sq is None:
             raise UnverifiableError(
                 f"no doubled crossing found within budget for {BraidWord(n, letters)}"
             )
-        i, b = sq[0], sq[2:]
-        perm = permutation_of(n, b)
-        # the genus carried down must be g(l_minus) + 1, read from b itself
-        if g != (cycle_count(perm) - n + len(b)) // 2 + 1:
-            raise NegativeRankError(f"genus bookkeeping violated at {BraidWord(n, sq)}")
-        # l_zero swaps strands i-1 and i: it splits their cycle when they
-        # share one (delta 0), and joins their two cycles otherwise
-        j = perm[i - 1]
-        while j != i - 1 and j != i:
-            j = perm[j]
-        delta = 0 if j == i else 1
-        steps.append((key, delta, i not in b))
-        letters, g = sq[1:], g - delta
-    for key, delta, splits in reversed(steps):
-        rank = triangle_solve(rank + 2 * delta, splits)
-        _profile_cache[key] = rank
-    return rank
+        walked.append((key, sq[0] not in sq[2:]))
+        letters = sq[1:]
+    for key, splits in reversed(walked):
+        count += splits
+        _profile_cache[key] = count
+    return count
 
 
 def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> BigradedRank:
@@ -277,12 +263,13 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     the closed formula it is checked against counts primes with those
     same cut rules, so a recursion that also split at them would share
     any wrong cut with the formula, and ``formula_matches_recursion``
-    would still agree.
+    would still agree.  Each piece contributes ``mu - 1 + S``.
     """
     require_budget(budget)
     g = closure_genus(w)
     pieces = split_pieces(w)
-    rank = sum(_connected_rank(piece, budget) for piece in pieces)
+    splits = sum(_split_steps(piece, budget) for piece in pieces)
+    rank = closure_components(w) - len(pieces) + splits
     return BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(len(pieces) - 1))
 
 

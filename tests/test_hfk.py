@@ -30,9 +30,10 @@ from braidhfk.hfk import (
 
 
 def reference_chain(w, budget=DEFAULT_BUDGET):
-    """The table the next-to-top chain of a connected word fills from
-    empty, built step by step from the public pieces, and the number of
-    steps whose generator occurs exactly twice."""
+    """The triangle fold of the next-to-top chain of a connected word, built
+    step by step from the public pieces: for each chain word of positive
+    genus, keyed as the chain keys its table, the folded rank and the
+    number of steps from it down whose generator occurs exactly twice."""
     steps = []
     while closure_genus(w):
         sq = find_adjacent_square(w, budget)
@@ -40,11 +41,12 @@ def reference_chain(w, budget=DEFAULT_BUDGET):
         splits = sq.letters.count(sq.letters[0]) == 2
         steps.append(((budget, w.strands, w.letters), triple.delta, splits))
         w = triple.l_zero
-    table, rank = {}, 0
+    ranks, split_counts, rank, count = {}, {}, 0, 0
     for key, delta, splits in reversed(steps):
         rank = triangle_solve(rank + 2 * delta, splits)
-        table[key] = rank
-    return table, sum(splits for _, _, splits in steps)
+        count += splits
+        ranks[key], split_counts[key] = rank, count
+    return ranks, split_counts
 
 
 class TestBigradedRank:
@@ -153,14 +155,15 @@ class TestSkeinRecursion:
         assert next_to_top_via_skein(BraidWord(2, (1, 1, 1))) == BigradedRank({(-1, 0): 1})
 
     def test_hopf_and_trefoil_are_one_step_from_the_unknot(self):
-        # genus 0 is the only base case: from empty tables, the Hopf link's
-        # rank 2 and the trefoil's rank 1 are triangle steps from rank 0 at
-        # the unknot 1 on two strands, which is never tabled
+        # genus 0 is the only base case: from empty tables, the Hopf link
+        # 1 1 is one split step from the unknot 1 on two strands, which is
+        # never tabled, and the trefoil 1 1 1 one step that does not split
+        # from the Hopf link; each word tables the split steps from it down
         from braidhfk import hfk
 
         for letters, chain in [((1,), {}),
-                               ((1, 1), {(1, 1): 2}),
-                               ((1, 1, 1), {(1, 1, 1): 1, (1, 1): 2})]:
+                               ((1, 1), {(1, 1): 1}),
+                               ((1, 1, 1), {(1, 1, 1): 1, (1, 1): 1})]:
             hfk.clear_caches()
             next_to_top_via_skein(BraidWord(2, letters))
             assert hfk._profile_cache == {(DEFAULT_BUDGET, 2, k): v for k, v in chain.items()}
@@ -227,7 +230,7 @@ class TestSkeinRecursion:
         assert splits
 
     def test_the_chain_holds_little_beyond_its_table(self):
-        # a step keeps its key, delta and split flag, not its three words
+        # a step keeps its key and split flag, not its three words
         from braidhfk import hfk
 
         w = t2(400)
@@ -242,8 +245,8 @@ class TestSkeinRecursion:
         assert peak <= 1.5 * retained
 
     def test_the_chain_fills_the_reference_table(self):
-        # the chain's step, read off one permutation, walks the chain that
-        # find_adjacent_square, resolve_square and triangle_solve walk
+        # the chain meets the words that find_adjacent_square and
+        # resolve_square step through, and tables the split steps below each
         from braidhfk import hfk
 
         words = [w for w in corpus(4, 8) if w.is_connected]
@@ -251,7 +254,7 @@ class TestSkeinRecursion:
             for w in words + [torus(7, 8), t2(61), figure3()]:
                 hfk.clear_caches()
                 next_to_top_via_skein(w)
-                assert hfk._profile_cache == reference_chain(w)[0], w
+                assert hfk._profile_cache == reference_chain(w)[1], w
         finally:
             hfk.clear_caches()
 
@@ -277,17 +280,20 @@ class TestSkeinRecursion:
         assert len(built) <= 5
 
     def test_rank_counts_components_and_split_steps(self):
-        # the rank at (-1, g-1) of a connected closure is |L| - 1 + S, where
-        # S counts the chain's steps whose generator occurs exactly twice,
-        # and S is the number of prime factors
+        # the triangle fold gives the rank at (-1, g-1) of a connected
+        # closure as |L| - 1 + S, where S counts the chain's steps whose
+        # generator occurs exactly twice, and S is the number of prime
+        # factors; the chain computes the rank as that count
         words = [w for w in corpus(4, 8) if w.is_connected and closure_genus(w)]
         assert len(words) == 347
         for w in words:
-            _, s = reference_chain(w)
-            g = closure_genus(w)
-            rank = next_to_top_via_skein(w).rank_at(-1, g - 1)
-            assert rank == closure_components(w) - 1 + s, w
+            ranks, split_counts = reference_chain(w)
+            key = (DEFAULT_BUDGET, w.strands, w.letters)
+            s = split_counts[key]
+            assert ranks[key] == closure_components(w) - 1 + s, w
             assert s == decompose(w).prime_count, w
+            g = closure_genus(w)
+            assert next_to_top_via_skein(w) == BigradedRank({(-1, g - 1): ranks[key]}), w
 
     def test_unverifiable_on_tiny_budget(self):
         from braidhfk import hfk

@@ -1,6 +1,7 @@
 """Property tests: the Burau, skein and Kauffman engines see closures, not
 words, the doubled-crossing search returns squares of the move orbit and
-misses no pair the gap check sees, the Kauffman sweep counts what the
+misses no pair the gap check sees, the next-to-top chain stays on
+connected words and ends on its length, the Kauffman sweep counts what the
 enumerator lists, the Hecke sweep agrees with the skein tree, the engines
 obey the connected-sum and disjoint-union laws, random words pass
 ``verify``, and the facts behind its five structural checks hold.
@@ -216,6 +217,23 @@ def test_two_steps_find_every_pair_the_gap_check_sees(w):
     assume(closure_genus(w) > 0 and adjacent_pair_by_gaps(w.letters) is not None)
     assert (_exchange(w.strands, w.letters) is not None
             or _simple_conjugate_square(w.strands, w.letters, 1) is not None)
+
+
+@settings(max_examples=300)
+@given(connected_words(max_strands=8, max_len=14))
+@example(BraidWord(3, (1, 2, 2)))  # a split step: the square is 2 2 1, b = 1 lacks s_2
+@example(BraidWord(5, (1, 2, 3, 2, 4)))  # simple: the walk finds the square
+def test_the_chain_stays_connected_and_ends_on_its_length(w):
+    # the next-to-top chain walks l_zero = s_i b, which puts back the one
+    # generator b may lack, and stops on the length, since a connected
+    # word has genus 0 exactly when it has n - 1 letters
+    while True:
+        assert w.is_connected
+        assert (closure_genus(w) == 0) == (len(w) == w.strands - 1)
+        sq = find_adjacent_square(w)
+        if sq is None:
+            break
+        w = BraidWord(w.strands, sq.letters[1:])
 
 
 def joined_up(w):
