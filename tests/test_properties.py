@@ -232,6 +232,9 @@ def test_the_chain_stays_connected_and_ends_on_its_length(w):
         assert (closure_genus(w) == 0) == (len(w) == w.strands - 1)
         sq = find_adjacent_square(w)
         if sq is None:
+            # a search that gave up on a word of positive genus would end
+            # the chain early; the property holds only if it reached n - 1
+            assert len(w) == w.strands - 1
             break
         w = BraidWord(w.strands, sq.letters[1:])
 
