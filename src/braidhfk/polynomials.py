@@ -3,7 +3,9 @@
 Half-integer exponents are stored doubled, so ``t^(k/2)`` lives at key
 ``k`` and all arithmetic stays in plain integers.  ``ConwayPoly`` is a
 dense coefficient list in ``z``; substituting ``z -> t^(1/2) - t^(-1/2)``
-turns it into a ``HalfLaurent``.
+turns it into a ``HalfLaurent``.  ``_pack`` and ``_unpack`` write a
+polynomial as one integer, its value at ``2**bits``, and read it back as
+balanced digits; the sweeps and the Burau engine keep their values so.
 """
 
 from __future__ import annotations
@@ -14,6 +16,50 @@ from typing import Iterable, Mapping
 
 class InexactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where none is possible."""
+
+
+# Coefficient lists longer than this are packed and unpacked by halves, so
+# that a long value is not shifted once per coefficient.
+_SHIFT_LOOP_COEFFS = 32
+
+
+def _pack(coeffs: list[int], bits: int) -> int:
+    """The value at ``t = 2**bits`` of the polynomial with these coefficients."""
+    if len(coeffs) > _SHIFT_LOOP_COEFFS:
+        h = len(coeffs) // 2
+        return _pack(coeffs[:h], bits) + (_pack(coeffs[h:], bits) << (bits * h))
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
+
+
+def _unpack(value: int, bits: int) -> list[int]:
+    """Balanced base-``2**bits`` digits of ``value``, lowest first, with no
+    trailing zero: the coefficients of the one polynomial whose coefficients
+    lie in ``[-2**(bits-1), 2**(bits-1))`` and whose value at ``2**bits``
+    is ``value``.
+    """
+    count = value.bit_length() // bits
+    if count > _SHIFT_LOOP_COEFFS:
+        h = count // 2
+        # The sums of h such digits times 2**(bits*k) are exactly the
+        # integers from -half * ones to (half - 1) * ones, one per residue
+        # class mod 2**(bits*h); the low half is the one in value's class.
+        width = bits * h
+        ones = ((1 << width) - 1) // ((1 << bits) - 1)
+        floor = -(1 << (bits - 1)) * ones
+        low = ((value - floor) & ((1 << width) - 1)) + floor
+        digits = _unpack(low, bits)
+        high = _unpack((value - low) >> width, bits)
+        return digits + [0] * (h - len(digits)) + high if high else digits
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    while value:
+        value += half
+        digits.append((value & mask) - half)
+        value >>= bits
+    return digits
 
 
 def _join_terms(parts: list[tuple[str, str]]) -> str:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -216,6 +217,34 @@ class TestVerify:
         r = verify(torus(7, 8))
         assert r.overall_pass, [k for k, v in r.checks.items() if not v]
 
+    def test_t89_passes_at_the_default_budget(self):
+        # the Kauffman sweep keeps 927 masks; the skein sweep 8! = 40,320 entries
+        r = verify(torus(8, 9))
+        assert r.overall_pass, [k for k, v in r.checks.items() if not v]
+
+    def test_t910_fails_only_the_skein_sweep(self):
+        # the skein sweep needs 9! = 362,880 entries; Kauffman needs 2,476 masks
+        r = verify(torus(9, 10))
+        assert [k for k, v in r.checks.items() if not v] == ["skein_equals_burau"]
+        assert [n.split(":")[0] for n in r.notes] == ["skein engine"]
+        assert r.kauffman_euler == r.burau_euler
+
+    def test_a_wrong_component_count_fails_component_parity(self, monkeypatch):
+        from braidhfk import harness
+
+        real = harness.decompose
+
+        def one_too_many(w):
+            lc = real(w)
+            return dataclasses.replace(lc, components=lc.components + 1)
+
+        monkeypatch.setattr(harness, "decompose", one_too_many)
+        r = verify(figure3())
+        assert r.checks["component_parity"] is False
+        assert not r.overall_pass
+        assert r.notes == ("seifert: 2 components incompatible with chi=-7",)
+        assert (r.chi, r.genus) == (-7, 4)
+
     def test_a_report_does_not_depend_on_the_call_before(self):
         # T(5,6)'s skein sweep needs tables of 120 entries: at 119 it fails
         # after a failed call and after a passing one, and at 120 it passes.
@@ -252,7 +281,7 @@ class TestVerify:
         assert r.kauffman_euler == r.skein_euler
 
     def test_kauffman_budget_fails_its_checks_with_a_note(self):
-        r = verify(torus(4, 9), budget=100)
+        r = verify(torus(7, 2), budget=100)
         kauffman_checks = ("kauffman_matches", "kauffman_top_state_unique", "kauffman_maslov_band")
         assert [r.checks[name] for name in kauffman_checks] == [False, False, False]
         assert r.kauffman_euler is None

@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import importlib.util
+import pathlib
 import random
 from collections import Counter
 from functools import reduce
@@ -10,6 +13,7 @@ import pytest
 from braidhfk.alexander import hfk_euler
 from braidhfk.braidword import BraidWord, closure_components, closure_genus
 from braidhfk.harness import connected_sum, corpus, figure3, t2, torus
+from braidhfk.hfk import BigradedRank
 from braidhfk.kauffman import (
     A_WEIGHTS_DOUBLED,
     M_WEIGHTS,
@@ -20,6 +24,7 @@ from braidhfk.kauffman import (
     build_diagram,
     counts_to_json,
     enumerate_states,
+    euler_and_top_slice,
     state_line,
 )
 from braidhfk.polynomials import HalfLaurent
@@ -114,6 +119,7 @@ class TestEnumerateStates:
         assert (d.region_names, d.forbidden, d.slots) == (("inner", "outer"), {0, 1}, ())
         states = enumerate_states(d)
         assert [(s.maslov, s.alexander) for s in states] == [(0, 0)]
+        assert euler_and_top_slice(d) == (HalfLaurent.one(), {(0, 0): 1})
 
     def test_budget_counts_backtracking_nodes(self):
         # the trefoil's listing enters 9 nodes: 9 finishes and 8 does not
@@ -125,7 +131,7 @@ class TestEnumerateStates:
     @pytest.mark.parametrize("budget", [0, -3])
     def test_non_positive_budget_rejected(self, budget):
         d = build_diagram(BraidWord(2, (1, 1, 1)))
-        for engine in (enumerate_states, bigraded_counts):
+        for engine in (enumerate_states, bigraded_counts, euler_and_top_slice):
             with pytest.raises(ValueError, match="budget must be positive"):
                 engine(d, budget)
 
@@ -185,12 +191,82 @@ class TestSweep:
         d = dataclasses.replace(d, slots=cut)
         assert listed_counts(d) == {}
         assert bigraded_counts(d) == {}
+        assert euler_and_top_slice(d) == (HalfLaurent.zero(), {})
 
     def test_budget_caps_the_live_table(self):
         d = build_diagram(torus(4, 9))
         with pytest.raises(KauffmanBudgetError, match="budget 100"):
             bigraded_counts(d, budget=100)
         assert sum(bigraded_counts(d).values()) == 632025
+
+
+def fold_and_top_slice(d):
+    """Oracle: the signed fold of the histogram and its slice at A = g."""
+    counts = bigraded_counts(d)
+    g = closure_genus(d.word)
+    top = {(m, a): k for (m, a), k in counts.items() if a == g}
+    return BigradedRank(counts).signed_euler(), top
+
+
+def torus_alexander(p, q):
+    """Closed form: (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), centred."""
+    num = [0] * (p * q + 2)  # (t^pq - 1)(t - 1), lowest degree first
+    num[0], num[1], num[p * q], num[p * q + 1] = 1, -1, -1, 1
+    for d in (p, q):  # exact division by t^d - 1, from the top down
+        quot = [0] * (len(num) - d)
+        for k in range(len(quot) - 1, -1, -1):
+            quot[k] = num[k + d]
+            num[k] += quot[k]
+        assert not any(num[:d])
+        num = quot
+    g = (p - 1) * (q - 1) // 2
+    return HalfLaurent({2 * (k - g): v for k, v in enumerate(num) if v})
+
+
+class TestTopSliceSweep:
+    def test_matches_the_histogram_on_corpus(self):
+        knots = [
+            w for w in corpus(4, 9)
+            if w.is_connected and closure_components(w) == 1
+        ]
+        assert len(knots) == 319
+        for w in knots:
+            d = build_diagram(w)
+            assert euler_and_top_slice(d) == fold_and_top_slice(d), w
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (2, 2101), (3, 301)])
+    def test_torus_knots_match_the_closed_form(self, p, q):
+        # the partial state counts of the last two outgrow several digit widths
+        euler, top = euler_and_top_slice(build_diagram(torus(p, q)))
+        g = (p - 1) * (q - 1) // 2
+        assert euler == torus_alexander(p, q)
+        assert top == {(0, g): 1}
+
+    def test_budget_counts_live_masks(self):
+        d = build_diagram(torus(4, 9))
+        assert euler_and_top_slice(d, budget=16) == fold_and_top_slice(d)
+        with pytest.raises(KauffmanBudgetError, match=r"reached 16 masks at crossing 15 of 27 \(budget 15\)"):
+            euler_and_top_slice(d, budget=15)
+
+
+class TestEngineIndependence:
+    @staticmethod
+    def imported_modules(name):
+        """Last dotted part of every name an import statement of the module reads."""
+        tree = ast.parse(pathlib.Path(importlib.util.find_spec(f"braidhfk.{name}").origin).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        return {n.rpartition(".")[2] for n in names}
+
+    def test_kauffman_imports_no_other_engine(self):
+        assert not self.imported_modules("kauffman") & {"alexander", "hfk"}
+
+    def test_alexander_imports_no_kauffman(self):
+        assert "kauffman" not in self.imported_modules("alexander")
 
 
 class TestWeightCalibration:

@@ -2,9 +2,10 @@
 words, the doubled-crossing search returns squares of the move orbit and
 misses no pair the gap check sees, the next-to-top chain stays on
 connected words and ends on its length, the Kauffman sweep counts what the
-enumerator lists, the Hecke sweep agrees with the skein tree, the engines
-obey the connected-sum and disjoint-union laws, random words pass
-``verify``, and the facts behind its five structural checks hold.
+enumerator lists and the top-slice sweep reads the same histogram, the
+Hecke sweep agrees with the skein tree, the engines obey the
+connected-sum and disjoint-union laws, random words pass ``verify``, and
+the facts behind its five structural checks hold.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
@@ -18,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidhfk import hfk
-from braidhfk.alexander import _pack, _unpack, alexander_burau, conway, hfk_euler
+from braidhfk.alexander import alexander_burau, conway, hfk_euler
 from braidhfk.braidword import (
     DEFAULT_BUDGET,
     BraidWord,
@@ -31,8 +32,8 @@ from braidhfk.braidword import (
 )
 from braidhfk.harness import connected_sum, disjoint_union, verify
 from braidhfk.hfk import BigradedRank, V, next_to_top_via_skein
-from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states
-from braidhfk.polynomials import HalfLaurent
+from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states, euler_and_top_slice
+from braidhfk.polynomials import HalfLaurent, _pack, _unpack
 from braidhfk.seifert import fibered_positive, from_braid
 from burau_oracle import burau_by_lists
 from skein_tree_oracle import conway_by_skein_tree
@@ -266,6 +267,16 @@ def test_kauffman_sweep_counts_the_listed_states(w):
     d = build_diagram(w)
     listed = Counter((s.maslov, s.alexander) for s in enumerate_states(d))
     assert bigraded_counts(d) == dict(listed)
+
+
+@PROPERTY
+@given(knot_words(max_strands=7, max_len=40))
+def test_the_top_slice_sweep_reads_the_histogram(w):
+    d = build_diagram(w)
+    counts = bigraded_counts(d)
+    g = closure_genus(w)
+    top = {(m, a): k for (m, a), k in counts.items() if a == g}
+    assert euler_and_top_slice(d) == (BigradedRank(counts).signed_euler(), top)
 
 
 def kauffman_euler(w):
