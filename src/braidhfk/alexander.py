@@ -33,6 +33,15 @@ coefficients sets the width of the decode (see ``alexander_burau``).
 It costs polynomial time in the strand count and never consults the
 skein route or ``decompose``.
 
+The same small prime factors recur across the words of a corpus, so each
+engine keeps one table of its own results, beside the function it
+serves: ``_conway_cache`` holds the polynomial of each prime factor
+swept, keyed by ``(budget, strands, letters)``, and ``_burau_cache`` the
+result of ``alexander_burau`` for each word, keyed by ``(strands,
+letters)``.  There is one entry per distinct factor or word, so the
+tables grow linearly in the input; ``clear_caches`` empties both.
+Neither table reads the other, and neither keeps a failure.
+
 Both are normalised to the same graded Euler characteristic: the result
 of ``hfk_euler`` equals ``sum_(m,a) (-1)^m rank_m(L, a) t^a`` over the
 knot Floer homology of the closure, in the convention where Maslov
@@ -65,7 +74,11 @@ class EngineFailure(RuntimeError):
     or while destabilising some strand, a table of the Hecke sweep held
     more than ``budget`` strand arrangements.  The size of every table
     depends only on the word, so whether a word fails does not depend on
-    what ran before it.  Each arrangement holds one number per strand,
+    what ran before it.  ``_conway_cache`` keeps that so: it holds only
+    successful sweeps, so a failing factor is swept, and its failure
+    raised with the factor and the word named, every time; and the budget
+    is in its key, so a factor swept under a larger budget does not answer
+    for a smaller one.  Each arrangement holds one number per strand,
     so a table of many strands takes memory in proportion."""
 
 
@@ -155,6 +168,10 @@ def _sweep(u: BraidWord, budget: int, w: BraidWord) -> ConwayPoly:
     return ConwayPoly(_unpack(table.get((0,), 0), bits))
 
 
+#: Conway polynomial of each prime factor swept, by ``(budget, strands, letters)``.
+_conway_cache: dict[tuple[int, int, tuple[int, ...]], ConwayPoly] = {}
+
+
 def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     """Conway polynomial of the closure: 0 for a split word, and otherwise
     the product over the ``prime_factors`` of the word of their Hecke
@@ -163,13 +180,21 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     ``budget`` caps the entries of every table of each factor's sweep;
     past it ``EngineFailure`` names the factor, and the word when the
     factor is a proper piece of it.
+
+    Each factor's polynomial is kept in ``_conway_cache``, so a factor met
+    again in another word is not swept again.  The table holds one entry
+    per distinct factor, so its memory grows linearly with the words seen.
+    Only successful sweeps are kept, and the budget is part of the key.
     """
     require_budget(budget)
     if not w.is_connected:
         return ConwayPoly.zero()
     result = ConwayPoly.one()
     for u in prime_factors(w):
-        result = result * _sweep(u, budget, w)
+        key = (budget, u.strands, u.letters)
+        if key not in _conway_cache:
+            _conway_cache[key] = _sweep(u, budget, w)
+        result = result * _conway_cache[key]
     return result
 
 
@@ -222,6 +247,15 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * prev
 
 
+#: Graded Euler characteristic of each word evaluated, by ``(strands, letters)``.
+_burau_cache: dict[tuple[int, tuple[int, ...]], HalfLaurent] = {}
+
+
+def clear_caches() -> None:
+    _conway_cache.clear()
+    _burau_cache.clear()
+
+
 def alexander_burau(w: BraidWord) -> HalfLaurent:
     """Graded Euler characteristic via the reduced Burau representation.
 
@@ -255,7 +289,20 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
     asks for: on ``|t| = 1`` an entry is at most its l1 norm, so this
     bounds ``|det|`` on the unit circle, and no coefficient of a
     polynomial exceeds its maximum there.
+
+    Results are kept in ``_burau_cache``, whether the word is checked whole
+    or as a prime factor of another.  The table holds one entry per
+    distinct word, so its memory grows linearly with the words seen.  An
+    ``ArithmeticError`` is never kept.
     """
+    key = (w.strands, w.letters)
+    if key not in _burau_cache:
+        _burau_cache[key] = _burau_euler(w)
+    return _burau_cache[key]
+
+
+def _burau_euler(w: BraidWord) -> HalfLaurent:
+    """``alexander_burau`` of ``w``, computed afresh."""
     n = w.strands
     norms = [0] + [1] * (n - 1) + [0]
     for i in w.letters:

@@ -1,11 +1,22 @@
-"""Shared hypothesis settings.
+"""Shared hypothesis settings and test isolation.
 
 Examples are drawn deterministically, so the suite gives the same verdict
 on every run, and no example fails for being slow: several properties
 run whole skein recursions.  Each test sets its own ``max_examples``.
+
+Each test starts with empty ``alexander`` tables, so a result computed by
+an earlier test never answers a call that a test has patched to fail.
 """
 
+import pytest
 from hypothesis import settings
+
+from braidhfk import alexander
 
 settings.register_profile("braidhfk", derandomize=True, deadline=None)
 settings.load_profile("braidhfk")
+
+
+@pytest.fixture(autouse=True)
+def _empty_alexander_tables():
+    alexander.clear_caches()

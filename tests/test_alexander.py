@@ -13,7 +13,7 @@ from braidhfk.alexander import (
     conway,
     hfk_euler,
 )
-from braidhfk.braidword import BraidWord, closure_components, closure_genus
+from braidhfk.braidword import DEFAULT_BUDGET, BraidWord, closure_components, closure_genus
 from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, torus
 from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 from burau_oracle import burau_by_lists, euler_bridge, normalize_symmetric
@@ -103,6 +103,22 @@ class TestConway:
         assert str(info.value) == (
             f"Hecke sweep of {torus(6, 7)}, a factor of {w}, passed the budget of 719 entries after letter 30"
         )
+
+    def test_a_warm_table_answers_no_other_budget(self):
+        # the default budget's sweep of T(6,7) is tabled, but a smaller
+        # budget sweeps the factor again and fails with the same message
+        from braidhfk import alexander
+
+        w = connected_sum(torus(2, 3), torus(6, 7))
+        with pytest.raises(EngineFailure) as cold:
+            hfk_euler(w, budget=719)
+        assert hfk_euler(w) == alexander_burau(w)
+        assert (DEFAULT_BUDGET, 6, torus(6, 7).letters) in alexander._conway_cache
+        with pytest.raises(EngineFailure) as warm:
+            hfk_euler(w, budget=719)
+        assert str(warm.value) == str(cold.value)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            conway(w, 0)
 
     def test_many_strands_with_repeated_squares(self):
         # squares s_1^2 s_3^2 ... double the table, and two passes up the
@@ -280,6 +296,10 @@ class TestBurau:
         monkeypatch.setattr(alexander, "_bareiss_det", det_plus_one)
         with pytest.raises(InexactDivisionError, match="nonzero remainder"):
             alexander_burau(BraidWord(2, (1, 1, 1)))
+        # a failure is not tabled, so the next call computes afresh
+        assert alexander._burau_cache == {}
+        monkeypatch.undo()
+        assert alexander_burau(BraidWord(2, (1, 1, 1))) == torus_alexander_oracle(2, 3)
 
     @pytest.mark.parametrize("p", [*range(5, 17), 20, 24])
     def test_torus_knots_past_the_skein_range(self, p):

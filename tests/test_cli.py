@@ -151,6 +151,13 @@ class TestVerify:
         assert code == 0
         assert out.count("=> PASS") == 2
 
+    def test_unreadable_file_exits_2(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.txt", tmp_path):
+            code, out, err = run(capsys, "verify", "--file", str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
     def test_oversized_word_rejected_before_building(self, capsys):
         code, _, err = run(capsys, "verify", "1^100000000")
         assert code == 2

@@ -339,9 +339,16 @@ class TestVerify:
         ]
 
     def test_reports_deterministic(self):
+        # the second pass runs on the tables the first filled: it finds
+        # every factor and word there and adds no entry
+        from braidhfk import alexander
+
         words = corpus(3, 5)
         first = reports_to_json(verify_all(words))
+        tables = (dict(alexander._conway_cache), dict(alexander._burau_cache))
+        assert all(tables)
         second = reports_to_json(verify_all(words))
+        assert (alexander._conway_cache, alexander._burau_cache) == tables
         assert first == second
 
     def test_random_sums_and_unions(self):
@@ -407,12 +414,15 @@ class TestTracedBenchmark:
 
     def test_worker_memos_count_the_route_tables(self):
         # the traced counters read each table with getattr and a default,
-        # so a table that is gone reads 0 rather than fail; skein Conway
-        # keeps no table, so the next-to-top memo is the one route table
-        from braidhfk import hfk
+        # so a table that is gone reads 0 rather than fail; the skein
+        # factor table and the next-to-top memo are the route tables
+        from braidhfk import alexander, hfk
 
-        mod, attr = load_perfbench("worker").MEMOS["hfk.profile_memo"]
+        memos = load_perfbench("worker").MEMOS
+        mod, attr = memos["hfk.profile_memo"]
         assert mod == "hfk" and isinstance(getattr(hfk, attr, None), dict)
+        mod, attr = memos["alexander.conway_memo"]
+        assert mod == "alexander" and getattr(alexander, attr, None) is alexander._conway_cache
 
 
 # sha256 of reports_to_json(verify_all(..)) on each benchmark workload at
