@@ -1,9 +1,9 @@
 """Rings of clasped unknots: the next-to-top rank grows with the ring.
 
 Cutting one clasp of the ring of n unknots gives the ring of n-1 and a
-chain of n-1 Hopf links, so the same triangle bookkeeping that handles
-braid words applies; the base of the induction is the (2,4) torus link.
-The rank at Maslov -1 comes out to exactly n.
+chain of n-1 Hopf links, whose top slice has rank 1, so each unknot is a
+skein triangle step that adds 1.  Summed from the (2,4) torus link, the
+ring of two with rank 2, the rank at Maslov -1 comes out to exactly n.
 """
 
 from braidhfk import J, rn_next_to_top, torus, next_to_top_via_skein

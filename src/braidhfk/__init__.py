@@ -20,15 +20,12 @@ from .braidword import (
     LinkClass,
     ParseError,
     RangeError,
-    ShapeError,
-    SkeinTriple,
     closure_components,
     closure_genus,
     decompose,
     find_adjacent_square,
     parse_braid,
     parse_serialized,
-    resolve_square,
     split_pieces,
 )
 from .harness import (
@@ -56,7 +53,6 @@ from .hfk import (
     predicted_next_to_top,
     predicted_top,
     rn_next_to_top,
-    triangle_solve,
 )
 from .kauffman import (
     ClosedBraidDiagram,
@@ -101,8 +97,6 @@ __all__ = [
     "ParseError",
     "RangeError",
     "SeifertMultigraph",
-    "ShapeError",
-    "SkeinTriple",
     "SplitDiagramError",
     "UnknownFamilyError",
     "UnverifiableError",
@@ -134,12 +128,10 @@ __all__ = [
     "predicted_top",
     "read_corpus_lines",
     "reduced",
-    "resolve_square",
     "rn_next_to_top",
     "split_pieces",
     "t2",
     "torus",
-    "triangle_solve",
     "verify",
     "verify_all",
 ]

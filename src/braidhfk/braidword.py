@@ -52,7 +52,9 @@ from typing import Optional
 
 #: Default cap on any single search: the simple conjugates visited by
 #: ``find_adjacent_square``, the entries of each table of the skein Conway
-#: sweep, and the Kauffman engines' table entries and backtracking nodes.
+#: sweep, the live masks of the Kauffman top-slice sweep, the (mask,
+#: bigrading) entries of ``bigraded_counts`` and the search nodes of
+#: ``enumerate_states``.
 DEFAULT_BUDGET = 200_000
 
 #: Largest strand count and word length ``parse_braid`` accepts.  They stop
@@ -74,10 +76,6 @@ class ParseError(ValueError):
 
 class RangeError(ValueError):
     """Generator index out of range for the declared strand count."""
-
-
-class ShapeError(ValueError):
-    """Word does not have the shape required by the operation."""
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -233,34 +231,6 @@ def require_budget(budget: int) -> None:
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-
-
-@dataclasses.dataclass(frozen=True)
-class SkeinTriple:
-    """An oriented skein triple of positive words at a doubled crossing.
-
-    ``l_plus`` is ``s_i s_i b``, ``l_zero`` is ``s_i b`` and ``l_minus`` is
-    ``b``; ``delta`` is 0 when ``l_zero`` has more closure components than
-    ``l_plus`` and 1 otherwise, so that the genera satisfy
-    ``g(l_plus) = g(l_minus) + 1 = g(l_zero) + delta``.
-    """
-
-    l_plus: BraidWord
-    l_minus: BraidWord
-    l_zero: BraidWord
-    delta: int
-
-
-def resolve_square(w: BraidWord) -> SkeinTriple:
-    """Resolve a word of shape ``s_i s_i b`` at its leading doubled crossing."""
-    if len(w.letters) < 2 or w.letters[0] != w.letters[1]:
-        raise ShapeError(f"word does not start with a doubled generator: {w}")
-    l_minus = BraidWord(w.strands, w.letters[2:])
-    l_zero = BraidWord(w.strands, w.letters[1:])
-    c_plus = closure_components(w)
-    c_zero = closure_components(l_zero)
-    delta = 0 if c_zero > c_plus else 1
-    return SkeinTriple(w, l_minus, l_zero, delta)
 
 
 def _reduced_word(at: list[int]) -> tuple[int, ...]:

@@ -180,8 +180,11 @@ def _cmd_verify(args) -> int:
 def _cmd_corpus(args) -> int:
     words = harness.corpus(args.strands, args.len)
     if not args.verify:
-        for w in words:
-            print(w)
+        if args.json:
+            print(json.dumps([w.to_json() for w in words], sort_keys=True))
+        else:
+            for w in words:
+                print(w)
         return 0
     reports = harness.verify_all(words, args.budget)
     failures = [r for r in reports if not r.overall_pass]

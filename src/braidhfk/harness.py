@@ -191,6 +191,8 @@ def corpus(max_strands: int, max_len: int) -> list[BraidWord]:
     ``MAX_CORPUS_WORDS`` words."""
     if max_strands < 2:
         raise ValueError("corpus needs at least 2 strands")
+    if max_len < 0:
+        raise ValueError(f"corpus needs a length >= 0, got {max_len}")
     require_size(max_strands, max_len)
     covered, count = 0, 1
     for _ in range(max_len + 1):
@@ -230,12 +232,16 @@ def corpus(max_strands: int, max_len: int) -> list[BraidWord]:
 
 def read_corpus_lines(lines: Iterable[str]) -> list[BraidWord]:
     """Words from corpus-file lines: one word per line, ``#`` comments,
-    optional ``strands=N:`` prefix."""
+    optional ``strands=N:`` prefix.  A word that does not parse raises its
+    own error class, its message prefixed with ``line N: ``."""
     words = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if body:
-            words.append(parse_serialized(body))
+            try:
+                words.append(parse_serialized(body))
+            except ValueError as exc:
+                raise type(exc)(f"line {number}: {exc}") from exc
     return words
 
 

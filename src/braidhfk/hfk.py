@@ -22,9 +22,11 @@ The next-to-top Alexander grading is computed two independent ways:
 The count is the skein exact triangle summed along the chain.  The map
 out of the top group of the resolved-to-negative term vanishes and the
 map into the oriented resolution's contribution is injective, so a step
-(``triangle_solve``) moves the rank at ``(M, A) = (-1, g-1)`` by +2 when
-it splits, +1 when ``l_zero`` has fewer components and -1 when it has
-more; Maslov 0 stays empty.  A connected closure with ``mu`` components
+moves the rank at ``(M, A) = (-1, g-1)`` by +2 when it splits, +1 when
+``l_zero`` has fewer components and -1 when it has more; Maslov 0 stays
+empty.  ``reference_chain`` in ``tests/test_hfk.py`` folds that step,
+``h - 1 + splits`` from the rank ``h`` of the oriented resolution plus 2
+when it has fewer components.  A connected closure with ``mu`` components
 on ``n`` strands and ``len`` letters has genus ``g = (mu - n + len) / 2``.
 Its chain ends at the only base case, an unknot of ``n - 1`` letters and
 rank 0, in ``N = len - n + 1`` steps, ``g`` of which drop the genus.  With
@@ -42,13 +44,13 @@ has ``n - 1`` letters.  ``l_minus`` has the square's permutation and two
 letters fewer, so genus ``g - 1``, as long as the square search keeps the
 closure (the tests check each square against the move orbit).  And when
 ``l_zero`` has more components it has at least two, so its rank
-``mu - 1 + S`` meets the bound ``h >= 1`` of ``triangle_solve``.  The fold
-lives on as ``reference_chain`` in ``tests/test_hfk.py``, which also pins
-``S = p`` on the connected words of positive genus in ``corpus(4, 8)``.
+``mu - 1 + S`` meets the injectivity bound ``h >= 1`` that
+``reference_chain`` asserts.  The tests also pin ``S = p`` on the
+connected words of positive genus in ``corpus(4, 8)``.
 
-``rn_next_to_top`` runs the same triangle step for the rings of ``n``
-linked unknots, whose clasp resolutions are a smaller ring and a
-connected sum of Hopf links.
+``rn_next_to_top`` sums the same step over the rings of ``n`` linked
+unknots, whose clasp resolutions are a smaller ring and a connected sum
+of Hopf links: each unknot past the (2,4) torus link adds 1.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .polynomials import HalfLaurent
 
 
 class NegativeRankError(ArithmeticError):
-    """Exact-triangle bookkeeping produced an impossible rank."""
+    """A rank passed to ``BigradedRank`` is negative."""
 
 
 class UnverifiableError(RuntimeError):
@@ -188,32 +190,6 @@ def predicted_top(s: int, g: int) -> BigradedRank:
 
 
 # --------------------------------------------------------------------------
-# The skein exact triangle
-# --------------------------------------------------------------------------
-
-def triangle_solve(h_rank: int, minus_rank_neg1: int = 0) -> int:
-    """Rank of the unresolved closure at ``(M, A) = (-1, g-1)``.
-
-    ``h_rank`` is the rank of the oriented resolution's contribution at
-    that slot: its own next-to-top rank at Maslov -1, plus 2 when the
-    resolution has fewer components (the Hopf pattern supplies an extra
-    ``F^2`` there).  The resolved-to-negative term's top Alexander grading
-    has rank 1 at Maslov 0 and ``minus_rank_neg1`` at Maslov -1: 0 for a
-    non-split word, 1 for a two-piece disjoint union.
-
-    The map into the resolved-to-negative top group vanishes and the map
-    out of it is injective, so the sequence pins the rank at
-    ``h_rank - 1 + minus_rank_neg1``.  The rank at ``(0, g-1)``
-    would be inherited unchanged from the oriented resolution's own
-    ``(0, g-1)``; the only base case, a genus-0 closure, has none, so
-    it is zero for every connected closure and is not carried.
-    """
-    if h_rank < 1:
-        raise NegativeRankError(f"injectivity violated: h={h_rank} < 1")
-    return h_rank - 1 + minus_rank_neg1
-
-
-# --------------------------------------------------------------------------
 # The inductive computation
 # --------------------------------------------------------------------------
 
@@ -284,8 +260,9 @@ def rn_next_to_top(n: int, budget: int = DEFAULT_BUDGET) -> BigradedRank:
     ``m-1`` unknots, which has fewer components, and the chain of ``m-1``
     Hopf links, whose top group is ``F[0]`` (the top slice of a tensor
     power of ``J``).  So each extra unknot is one triangle step that adds
-    1 to the rank, starting from the (2,4) torus link, which is the ring
-    of two.  Rings on more than ``MAX_STRANDS`` unknots raise
+    1 to the rank, and the sum over the ``n - 2`` unknots past the (2,4)
+    torus link, the ring of two, puts ``rank(T(2,4)) + n - 2`` at
+    ``(-1, n-1)``.  Rings on more than ``MAX_STRANDS`` unknots raise
     ``RangeError``.
     """
     if n < 3:
@@ -294,6 +271,4 @@ def rn_next_to_top(n: int, budget: int = DEFAULT_BUDGET) -> BigradedRank:
         raise RangeError(f"rings of at most {MAX_STRANDS} unknots are accepted, got {n}")
     # two unknots clasped twice close to the (2,4) torus link, of genus 1
     rank = next_to_top_via_skein(BraidWord(2, (1, 1, 1, 1)), budget).rank_at(-1, 1)
-    for _ in range(3, n + 1):
-        rank = triangle_solve(rank + 2)
-    return BigradedRank({(-1, n - 1): rank})
+    return BigradedRank({(-1, n - 1): rank + n - 2})

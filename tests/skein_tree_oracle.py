@@ -20,7 +20,6 @@ from braidhfk.braidword import (
     closure_genus,
     find_adjacent_square,
     immediate_reduction,
-    resolve_square,
 )
 from braidhfk.polynomials import ConwayPoly
 
@@ -59,8 +58,10 @@ def conway_by_skein_tree(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPo
                 sq = find_adjacent_square(u, budget)
                 if sq is None:
                     raise RuntimeError(f"no doubled crossing found within budget for {u}")
-                triple = resolve_square(sq)
-                expansion = (True, (triple.l_minus, triple.l_zero))
+                # the square s_i s_i b resolves into l_minus = b and l_zero = s_i b
+                l_minus = BraidWord(u.strands, sq.letters[2:])
+                l_zero = BraidWord(u.strands, sq.letters[1:])
+                expansion = (True, (l_minus, l_zero))
             stack.append((u, expansion))
             stack.extend((sub, None) for sub in expansion[1])
             continue

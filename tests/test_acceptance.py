@@ -11,9 +11,10 @@ import time
 import pytest
 
 from braidhfk.braidword import (
+    BraidWord,
+    closure_components,
     closure_genus,
     find_adjacent_square,
-    resolve_square,
 )
 from braidhfk.harness import corpus, figure3, reports_to_json, torus, verify_all
 from braidhfk.hfk import BigradedRank, J, rn_next_to_top
@@ -147,12 +148,15 @@ def test_criterion_7_structural_invariants(timed_reports, words):
     for w in words:
         if not w.is_connected or closure_genus(w) == 0:
             continue
-        triple = resolve_square(find_adjacent_square(w))
+        sq = find_adjacent_square(w)
+        l_minus = BraidWord(sq.strands, sq.letters[2:])
+        l_zero = BraidWord(sq.strands, sq.letters[1:])
+        delta = int(closure_components(l_zero) <= closure_components(sq))
         squares += 1
-        g = closure_genus(triple.l_plus)
+        g = closure_genus(sq)
         if not (
-            g == closure_genus(triple.l_minus) + 1
-            and g == closure_genus(triple.l_zero) + triple.delta
+            g == closure_genus(l_minus) + 1
+            and g == closure_genus(l_zero) + delta
         ):
             genus_violations += 1
     ok = not bad_poly and not bad_bound and genus_violations == 0

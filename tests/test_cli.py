@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from braidhfk.braidword import DEFAULT_BUDGET
+from braidhfk.braidword import DEFAULT_BUDGET, MAX_STRANDS
 from braidhfk.cli import main
 
 
@@ -151,6 +151,14 @@ class TestVerify:
         assert code == 0
         assert out.count("=> PASS") == 2
 
+    def test_bad_line_is_located(self, tmp_path, capsys):
+        corpus = tmp_path / "words.txt"
+        corpus.write_text("1 1\n1 x\n1 1 1\n")
+        code, out, err = run(capsys, "verify", "--file", str(corpus))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: bad token 'x'\n"
+
     def test_unreadable_file_exits_2(self, tmp_path, capsys):
         for path in (tmp_path / "missing.txt", tmp_path):
             code, out, err = run(capsys, "verify", "--file", str(path))
@@ -188,6 +196,11 @@ class TestCorpus:
             "strands=2: 1 1",
             "strands=2: 1 1 1",
         ]
+
+    def test_json_listing(self, capsys):
+        code, out, _ = run(capsys, "corpus", "--strands", "2", "--len", "3", "--json")
+        assert code == 0
+        assert json.loads(out) == [{"strands": 2, "letters": [1] * k} for k in range(4)]
 
     def test_verified_run(self, capsys):
         code, out, _ = run(capsys, "corpus", "--strands", "3", "--len", "4", "--verify")
@@ -228,11 +241,14 @@ class TestFamilyAndRings:
         assert exc.value.code == 2
         assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
-    def test_rn(self, capsys):
-        code, out, _ = run(capsys, "rn", "5", "--json")
-        payload = json.loads(out)
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, MAX_STRANDS])
+    def test_rn(self, capsys, n):
+        code, out, _ = run(capsys, "rn", str(n), "--json")
         assert code == 0
-        assert payload["next_to_top"] == [[-1, 4, 5]]
+        assert out == f'{{"n": {n}, "next_to_top": [[-1, {n - 1}, {n}]]}}\n'
+        code, out, _ = run(capsys, "rn", str(n))
+        assert code == 0
+        assert out == f"ring of {n} unknots, next-to-top: F^{n}[-1,{n - 1}]\n"
 
     def test_rn_passes_budget(self, capsys):
         run(capsys, "rn", "5")  # a warm memo must not skip the budget check
@@ -261,6 +277,7 @@ class TestFamilyAndRings:
         ("corpus", "--strands", "1", "--len", "2"),
         ("corpus", "--strands", "1001", "--len", "1"),
         ("corpus", "--strands", "4", "--len", "40"),  # 3^40 words to walk
+        ("corpus", "--strands", "3", "--len", "-1"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):

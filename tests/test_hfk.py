@@ -12,7 +12,6 @@ from braidhfk.braidword import (
     closure_genus,
     decompose,
     find_adjacent_square,
-    resolve_square,
 )
 from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, t2, torus
 from braidhfk.hfk import (
@@ -25,8 +24,17 @@ from braidhfk.hfk import (
     predicted_next_to_top,
     predicted_top,
     rn_next_to_top,
-    triangle_solve,
 )
+
+
+def triangle_step(h, splits=0):
+    """One skein triangle step: the rank at ``(M, A) = (-1, g-1)`` of
+    ``s_i s_i b`` from ``h``, the rank there of the oriented resolution
+    ``s_i b`` plus 2 when it has fewer components, and ``splits``, the rank
+    at Maslov -1 of the top group of ``b`` (1 when ``b`` is a two-piece
+    union).  The map out of that top group is injective, so ``h >= 1``."""
+    assert h >= 1, f"injectivity violated: h={h} < 1"
+    return h - 1 + splits
 
 
 def reference_chain(w, budget=DEFAULT_BUDGET):
@@ -37,13 +45,14 @@ def reference_chain(w, budget=DEFAULT_BUDGET):
     steps = []
     while closure_genus(w):
         sq = find_adjacent_square(w, budget)
-        triple = resolve_square(sq)
+        l_zero = BraidWord(w.strands, sq.letters[1:])
+        delta = closure_components(l_zero) <= closure_components(sq)
         splits = sq.letters.count(sq.letters[0]) == 2
-        steps.append(((budget, w.strands, w.letters), triple.delta, splits))
-        w = triple.l_zero
+        steps.append(((budget, w.strands, w.letters), delta, splits))
+        w = l_zero
     ranks, split_counts, rank, count = {}, {}, 0, 0
     for key, delta, splits in reversed(steps):
-        rank = triangle_solve(rank + 2 * delta, splits)
+        rank = triangle_step(rank + 2 * delta, splits)
         count += splits
         ranks[key], split_counts[key] = rank, count
     return ranks, split_counts
@@ -128,11 +137,11 @@ class TestPredicted:
 class TestTriangleSolve:
     def test_t24_from_trefoil(self):
         # resolving s1^4: the oriented resolution is the trefoil, which has
-        # fewer components, so its contribution is 1 + 2 and the solve gives 2
-        assert triangle_solve(3) == 2
+        # fewer components, so its contribution is 1 + 2 and the step gives 2
+        assert triangle_step(3) == 2
 
     def test_trefoil_from_hopf(self):
-        assert triangle_solve(2) == 1
+        assert triangle_step(2) == 1
 
     def test_maslov_zero_propagates(self):
         # a triangle step would copy the rank at (0, g-1) through from the
@@ -143,8 +152,8 @@ class TestTriangleSolve:
                 assert next_to_top_via_skein(w).rank_at(0, g - 1) == 0
 
     def test_injectivity_guard(self):
-        with pytest.raises(NegativeRankError):
-            triangle_solve(0)
+        with pytest.raises(AssertionError, match="injectivity"):
+            triangle_step(0)
 
 
 class TestSkeinRecursion:
@@ -222,11 +231,11 @@ class TestSkeinRecursion:
                 continue
             while closure_genus(w):
                 sq = find_adjacent_square(w)
-                triple = resolve_square(sq)
+                l_zero = BraidWord(w.strands, sq.letters[1:])
                 if sq.letters.count(sq.letters[0]) == 2:
-                    assert triple.delta == 1, sq
+                    assert closure_components(l_zero) <= closure_components(sq), sq
                     splits += 1
-                w = triple.l_zero
+                w = l_zero
         assert splits
 
     def test_the_chain_holds_little_beyond_its_table(self):
@@ -245,8 +254,8 @@ class TestSkeinRecursion:
         assert peak <= 1.5 * retained
 
     def test_the_chain_fills_the_reference_table(self):
-        # the chain meets the words that find_adjacent_square and
-        # resolve_square step through, and tables the split steps below each
+        # the chain meets the squares that find_adjacent_square returns and
+        # their l_zero slices, and tables the split steps below each
         from braidhfk import hfk
 
         words = [w for w in corpus(4, 8) if w.is_connected]
