@@ -80,10 +80,27 @@ class RangeError(ValueError):
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class BraidWord:
-    """A positive braid word: ``strands >= 1`` and letters in ``1..strands-1``."""
+    """A positive braid word: ``strands >= 1`` and letters in ``1..strands-1``.
+
+    The last three slots keep facts of the closure once computed, by
+    ``closure_components``, ``split_pieces`` and ``prime_factors``, so that
+    every route that reads them on one word shares one computation.  Each is
+    a function of ``(strands, letters)`` alone, so they take no part in
+    equality, hashing, ``repr`` or ``to_json``, and ``dataclasses.replace``
+    starts the new word without them.
+    """
 
     strands: int
     letters: tuple[int, ...]
+    _components: Optional[int] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _pieces: Optional[tuple["BraidWord", ...]] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _factors: Optional[tuple["BraidWord", ...]] = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -213,8 +230,11 @@ def cycle_count(perm: tuple[int, ...]) -> int:
 
 
 def closure_components(w: BraidWord) -> int:
-    """Number of components of the closure: cycle count of the strand permutation."""
-    return cycle_count(permutation_of(w.strands, w.letters))
+    """Number of components of the closure: cycle count of the strand
+    permutation, kept on ``w``."""
+    if w._components is None:
+        object.__setattr__(w, "_components", cycle_count(permutation_of(w.strands, w.letters)))
+    return w._components
 
 
 def closure_genus(w: BraidWord) -> int:
@@ -400,18 +420,24 @@ def split_pieces(w: BraidWord) -> list[BraidWord]:
 
     Strands with no incident crossing come back as empty one-strand words
     (unknots).  Each returned word is connected and renumbered to start at
-    generator 1.
+    generator 1; a connected word is its own one piece, so the facts kept
+    on it serve its piece too.  The pieces are kept on ``w``.
     """
-    used = set(w.letters)
-    pieces: list[BraidWord] = []
-    start = 1
-    for boundary in range(1, w.strands + 1):
-        if boundary == w.strands or boundary not in used:
-            strands = boundary - start + 1
-            letters = tuple(x - (start - 1) for x in w.letters if start <= x < boundary)
-            pieces.append(BraidWord(strands, letters))
-            start = boundary + 1
-    return pieces
+    if w._pieces is None:
+        used = set(w.letters)
+        pieces: list[BraidWord] = []
+        start = 1
+        for boundary in range(1, w.strands + 1):
+            if boundary == w.strands or boundary not in used:
+                strands = boundary - start + 1
+                if strands == w.strands:
+                    pieces.append(w)
+                else:
+                    letters = tuple(x - (start - 1) for x in w.letters if start <= x < boundary)
+                    pieces.append(BraidWord(strands, letters))
+                start = boundary + 1
+        object.__setattr__(w, "_pieces", tuple(pieces))
+    return list(w._pieces)
 
 
 def immediate_reduction(strands: int, u: tuple[int, ...]):
@@ -457,20 +483,22 @@ def prime_factors(w: BraidWord) -> list[BraidWord]:
 
     The word is reduced by ``immediate_reduction`` until nothing fires,
     and the surviving words are the factors.  Each step costs
-    ``O(strands * len)``.
+    ``O(strands * len)``.  The factors are kept on ``w``.
     """
-    factors: list[BraidWord] = []
-    work = [(w.strands, w.letters)]
-    while work:
-        strands, letters = work.pop()
-        if strands == 1:
-            continue  # fully destabilised: an unknot summand is trivial
-        r = immediate_reduction(strands, letters)
-        if r is None:
-            factors.append(BraidWord(strands, letters))
-        else:
-            work.extend(r)
-    return factors
+    if w._factors is None:
+        factors: list[BraidWord] = []
+        work = [(w.strands, w.letters)]
+        while work:
+            strands, letters = work.pop()
+            if strands == 1:
+                continue  # fully destabilised: an unknot summand is trivial
+            r = immediate_reduction(strands, letters)
+            if r is None:
+                factors.append(BraidWord(strands, letters))
+            else:
+                work.extend(r)
+        object.__setattr__(w, "_factors", tuple(factors))
+    return list(w._factors)
 
 
 def decompose(w: BraidWord) -> LinkClass:

@@ -163,6 +163,9 @@ def _cmd_verify(args) -> int:
     if args.file:
         with open(args.file) as fh:
             words = harness.read_corpus_lines(fh)
+        if not words:
+            print(f"error: no words in {args.file}", file=sys.stderr)
+            return 2
     else:
         if not args.word:
             print("error: give a word or --file", file=sys.stderr)

@@ -34,8 +34,9 @@ from .hfk import (
     predicted_next_to_top,
     predicted_top,
 )
-# bigraded_counts and enumerate_states are unused here, but perfbench's tracer
-# wraps them on this module
+# bigraded_counts and enumerate_states, and the Seifert functions from_braid,
+# euler_and_genus and fibered_positive, are unused here, but perfbench's
+# tracer wraps them on this module
 from .kauffman import (
     M_WEIGHTS,
     KauffmanBudgetError,
@@ -45,7 +46,7 @@ from .kauffman import (
     euler_and_top_slice,
 )
 from .polynomials import HalfLaurent
-from .seifert import ParityError, euler_and_genus, fibered_positive, from_braid
+from .seifert import euler_and_genus, fibered_positive, from_braid
 
 
 class UnknownFamilyError(ValueError):
@@ -352,13 +353,19 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     Checks of the Euler characteristic read ``euler_poly``: skein's, or Burau's when skein
     failed.  Only ``skein_equals_burau`` and ``split_vanishing`` compare the engines, so a
-    failing engine fails only its own checks.  Five checks cannot fail:
+    failing engine fails only its own checks.
+
+    The Seifert surface of a braid closure has one disc per strand and one band per
+    letter, so chi is ``n - len`` and the genus ``(mu - chi) / 2`` with mu from
+    ``decompose``.  Five checks cannot fail:
 
     * ``decompose_verified``: the reductions of ``decompose`` are complete.
-    * ``reduced_graph_forest``: a braid word's Seifert edges join neighbouring strands.
+    * ``reduced_graph_forest``: a braid word's Seifert edges join neighbouring strands,
+      so the reduced graph is a sub-path and the closure is fibered; the check and the
+      ``fibered`` key are True without building the graph.
     * ``component_parity``: a word's permutation has sign (-1)^len = (-1)^(n-mu).  A
-      component count that breaks it fails this check, with ``euler_and_genus``'s
-      ``ParityError`` as a ``seifert:`` note and the genus read from the word.
+      component count that breaks it fails this check, with a ``seifert:`` note and
+      the genus read from the word by ``closure_genus``.
     * ``genus_nonnegative``: each letter moves the cycle count by one, so mu >= n - len.
     * ``kauffman_maslov_band``: Maslov weights are 0 and -1, so every state has M <= 0.
       The check reads the weights, since the sweep keeps no Maslov grading outside the
@@ -370,18 +377,18 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     lc = decompose(w)
     components, s, p = lc.components, lc.split_count, lc.prime_count
-    graph = from_braid(w)
-    try:
-        chi, g = euler_and_genus(graph, components)
-    except ParityError as exc:
-        notes.append(f"seifert: {exc}")
-        chi, g = w.strands - len(w.letters), closure_genus(w)
-    fibered = fibered_positive(graph)
+    chi = w.strands - len(w.letters)
+    parity = (components - chi) % 2 == 0
+    if parity:
+        g = (components - chi) // 2
+    else:
+        notes.append(f"seifert: {components} components incompatible with chi={chi}")
+        g = closure_genus(w)
 
     checks["decompose_verified"] = lc.verified
-    checks["component_parity"] = (components - w.strands + len(w.letters)) % 2 == 0
+    checks["component_parity"] = parity
     checks["genus_nonnegative"] = g >= 0
-    checks["reduced_graph_forest"] = fibered
+    checks["reduced_graph_forest"] = True
 
     skein_poly: Optional[HalfLaurent] = None
     burau_poly: Optional[HalfLaurent] = None
@@ -459,7 +466,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
         verified=lc.verified,
         chi=chi,
         genus=g,
-        fibered=fibered,
+        fibered=True,
         skein_euler=skein_poly,
         burau_euler=burau_poly,
         kauffman_euler=kauffman_poly,

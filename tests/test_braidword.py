@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from functools import reduce
 
@@ -18,6 +20,7 @@ from braidhfk.braidword import (
     find_adjacent_square,
     parse_braid,
     parse_serialized,
+    prime_factors,
     split_pieces,
 )
 from braidhfk.alexander import alexander_burau, conway
@@ -298,6 +301,39 @@ class TestSplitPieces:
         pieces = split_pieces(BraidWord(3, (1, 2)))
         assert len(pieces) == 1
         assert pieces[0].letters == (1, 2)
+
+
+class TestStoredFacts:
+    # closure_components, split_pieces and prime_factors keep their results
+    # on the word; a word carrying them must behave as a fresh one does
+    @pytest.mark.parametrize(
+        "strands, letters",
+        [(4, (1, 1, 1, 2, 3, 2, 3, 2, 3, 2, 3)), (5, (1, 1, 1, 3, 4, 3, 4))],
+        ids=["T(2,3)#T(3,4)", "T(2,3)+T(3,2)"],
+    )
+    def test_a_word_with_facts_behaves_like_a_fresh_one(self, strands, letters):
+        w = BraidWord(strands, letters)
+        lc = decompose(w)
+        if w.is_connected:
+            prime_factors(w)
+        fresh = BraidWord(strands, letters)
+        assert w == fresh and hash(w) == hash(fresh)
+        assert (repr(w), str(w), w.to_json()) == (repr(fresh), str(fresh), fresh.to_json())
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and hash(back) == hash(w) and repr(back) == repr(w)
+        assert decompose(back) == lc == decompose(fresh)
+
+        other = dataclasses.replace(w, letters=(1, 3))
+        assert closure_components(other) == closure_components(BraidWord(strands, (1, 3)))
+        assert closure_components(other) != closure_components(w)
+        assert split_pieces(other) == split_pieces(BraidWord(strands, (1, 3)))
+
+        split_pieces(w).clear()
+        assert split_pieces(w) == split_pieces(fresh)
+        if w.is_connected:
+            factors = prime_factors(w)
+            factors.append(BraidWord(2, (1, 1, 1)))
+            assert prime_factors(w) == prime_factors(fresh) != factors
 
 
 class TestFindAdjacentSquare:

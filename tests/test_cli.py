@@ -166,6 +166,17 @@ class TestVerify:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_a_file_with_no_words_exits_2(self, tmp_path, capsys, form):
+        # verifying nothing is not a pass
+        for text in ("", "# only comments\n\n  # and blanks\n"):
+            corpus = tmp_path / "words.txt"
+            corpus.write_text(text)
+            code, out, err = run(capsys, "verify", "--file", str(corpus), *form)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: no words in {corpus}\n"
+
     def test_oversized_word_rejected_before_building(self, capsys):
         code, _, err = run(capsys, "verify", "1^100000000")
         assert code == 2

@@ -245,6 +245,23 @@ class TestVerify:
         assert r.notes == ("seifert: 2 components incompatible with chi=-7",)
         assert (r.chi, r.genus) == (-7, 4)
 
+    def test_the_genus_reads_the_decompose_count_when_parity_holds(self, monkeypatch):
+        # two extra components keep the parity; the genus is then
+        # (components - chi) / 2 from decompose's count, not from the word
+        from braidhfk import harness
+
+        real = harness.decompose
+
+        def two_too_many(w):
+            lc = real(w)
+            return dataclasses.replace(lc, components=lc.components + 2)
+
+        monkeypatch.setattr(harness, "decompose", two_too_many)
+        r = verify(figure3())
+        assert r.checks["component_parity"] is True
+        assert r.notes == ()
+        assert (r.components, r.chi, r.genus) == (3, -7, 5)
+
     def test_a_report_does_not_depend_on_the_call_before(self):
         # T(5,6)'s skein sweep needs tables of 120 entries: at 119 it fails
         # after a failed call and after a passing one, and at 120 it passes.
@@ -432,6 +449,45 @@ REPORT_DIGESTS = {
     "ladder": "4bba93f30163cb729be89b90add898f500d5607891b989752954bbcaf680fab4",
     "states": "04cb924bf7ac4069417c413b6df588640a661f6ac2355025a6510a7f695ca490",
 }
+
+
+class TestWorkPerWord:
+    # components, split pieces and prime factors are computed once per word
+    # object: the decomposition and every engine read the ones kept on it
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: connected_sum(torus(2, 3), torus(3, 4)), lambda: disjoint_union(torus(2, 3), figure3())],
+        ids=["T(2,3)#T(3,4)", "T(2,3)+10_139"],
+    )
+    def test_verify_computes_each_fact_once(self, make, monkeypatch):
+        from braidhfk import braidword, hfk
+
+        permuted, reduced = [], []
+        permutation_of, immediate_reduction = braidword.permutation_of, braidword.immediate_reduction
+
+        def counted_permutation(strands, letters):
+            permuted.append((strands, letters))
+            return permutation_of(strands, letters)
+
+        def counted_reduction(strands, letters):
+            reduced.append((strands, letters))
+            return immediate_reduction(strands, letters)
+
+        monkeypatch.setattr(braidword, "permutation_of", counted_permutation)
+        monkeypatch.setattr(braidword, "immediate_reduction", counted_reduction)
+        lc = decompose(make())
+        alone = len(reduced)
+        permuted.clear()
+        reduced.clear()
+        hfk.clear_caches()
+        w = make()
+        r = verify(w)
+        assert r.overall_pass
+        assert len(reduced) == alone
+        # Burau evaluates the factors of a composite knot for factor_product
+        factors = list(lc.prime_words) if r.split_count == 1 and r.prime_count >= 2 else []
+        assert len(factors) == (2 if w.is_connected else 0)
+        assert sorted(permuted) == sorted([(w.strands, w.letters)] + [(f.strands, f.letters) for f in factors])
 
 
 class TestReportDigests:
