@@ -33,14 +33,18 @@ coefficients sets the width of the decode (see ``alexander_burau``).
 It costs polynomial time in the strand count and never consults the
 skein route or ``decompose``.
 
-The same small prime factors recur across the words of a corpus, so each
-engine keeps one table of its own results, beside the function it
-serves: ``_conway_cache`` holds the polynomial of each prime factor
-swept, keyed by ``(budget, strands, letters)``, and ``_burau_cache`` the
-result of ``alexander_burau`` for each word, keyed by ``(strands,
-letters)``.  There is one entry per distinct factor or word, so the
-tables grow linearly in the input; ``clear_caches`` empties both.
-Neither table reads the other, and neither keeps a failure.
+The same small prime factors, and the same polynomials, recur across the
+words of a corpus, so each engine keeps tables of its own results,
+beside the functions they serve.  The skein route keeps two:
+``_conway_cache`` holds the polynomial of each prime factor swept, keyed
+by ``(budget, strands, letters)``, and ``_euler_cache`` the result of
+``hfk_euler`` for each shifted Conway polynomial, keyed by its
+coefficients.  Burau keeps one: ``_burau_cache`` holds the result of
+``alexander_burau`` for each word, keyed by ``(strands, letters)``.
+There is at most one entry per distinct factor, polynomial or word, so
+the tables grow linearly in the input; ``clear_caches`` empties all
+three.  No table of one engine reads the other's, and none keeps a
+failure.
 
 Both are normalised to the same graded Euler characteristic: the result
 of ``hfk_euler`` equals ``sum_(m,a) (-1)^m rank_m(L, a) t^a`` over the
@@ -198,6 +202,10 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     return result
 
 
+#: ``hfk_euler``'s substitution of each shifted Conway polynomial, by its coefficients.
+_euler_cache: dict[tuple[int, ...], HalfLaurent] = {}
+
+
 def hfk_euler(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:
     """Graded Euler characteristic of the closure's knot Floer homology.
 
@@ -206,9 +214,16 @@ def hfk_euler(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:
     with coefficient +1 at ``t^genus`` for non-split closures.  The factor
     is ``z^(|L|-1)`` before the substitution, so it is a shift of the
     Conway coefficients.
+
+    Many words share one shifted polynomial, so the substitution of each
+    is kept in ``_euler_cache``, keyed by the shifted coefficients, and
+    equal results are one object.  A ``conway`` failure raises before the
+    table is read, so the table holds only successes.
     """
-    shift = (0,) * (closure_components(w) - 1)
-    return ConwayPoly(shift + conway(w, budget).coefficients).to_half_laurent()
+    shifted = (0,) * (closure_components(w) - 1) + conway(w, budget).coefficients
+    if shifted not in _euler_cache:
+        _euler_cache[shifted] = ConwayPoly(shifted).to_half_laurent()
+    return _euler_cache[shifted]
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +268,7 @@ _burau_cache: dict[tuple[int, tuple[int, ...]], HalfLaurent] = {}
 
 def clear_caches() -> None:
     _conway_cache.clear()
+    _euler_cache.clear()
     _burau_cache.clear()
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from collections import deque
+from operator import index
 from typing import Optional
 
 #: Default cap on any single search: the simple conjugates visited by
@@ -82,6 +83,9 @@ class RangeError(ValueError):
 class BraidWord:
     """A positive braid word: ``strands >= 1`` and letters in ``1..strands-1``.
 
+    The strand count and letters are read with ``operator.index``, so a
+    bool becomes an int; any other non-integer raises ``ParseError``.
+
     The last three slots keep facts of the closure once computed, by
     ``closure_components``, ``split_pieces`` and ``prime_factors``, so that
     every route that reads them on one word shares one computation.  Each is
@@ -103,16 +107,25 @@ class BraidWord:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.strands < 1:
-            raise RangeError(f"strand count must be >= 1, got {self.strands}")
+        try:
+            strands = index(self.strands)
+        except TypeError:
+            raise ParseError(f"strand count must be an integer, got {self.strands!r}") from None
+        if strands < 1:
+            raise RangeError(f"strand count must be >= 1, got {strands}")
+        letters = []
         for x in self.letters:
-            if not isinstance(x, int) or x < 1:
+            try:
+                i = index(x)
+            except TypeError:
+                i = 0
+            if i < 1:
                 raise ParseError(f"generator index must be a positive integer, got {x!r}")
-            if x >= self.strands:
-                raise RangeError(
-                    f"generator {x} needs at least {x + 1} strands, word has {self.strands}"
-                )
+            if i >= strands:
+                raise RangeError(f"generator {i} needs at least {i + 1} strands, word has {strands}")
+            letters.append(i)
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", tuple(letters))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -56,6 +56,7 @@ of Hopf links: each unknot past the (2,4) torus link adds 1.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 from typing import Mapping
 
 from .braidword import (
@@ -81,7 +82,13 @@ class UnverifiableError(RuntimeError):
 
 
 class BigradedRank:
-    """Finitely supported map ``(maslov, alexander) -> positive rank``."""
+    """Finitely supported map ``(maslov, alexander) -> positive rank``.
+
+    No public method changes a value once built, so the tables below hand
+    one object to every caller.  Gradings and ranks are read with
+    ``operator.index``: a bool becomes an int, and any other non-integer
+    raises ``TypeError``.
+    """
 
     __slots__ = ("_r",)
 
@@ -89,10 +96,11 @@ class BigradedRank:
         self._r: dict[tuple[int, int], int] = {}
         if ranks:
             for (m, a), v in ranks.items():
+                m, a, v = index(m), index(a), index(v)
                 if v < 0:
                     raise NegativeRankError(f"rank {v} at ({m},{a})")
                 if v:
-                    self._r[(int(m), int(a))] = int(v)
+                    self._r[(m, a)] = v
 
     @classmethod
     def zero(cls) -> "BigradedRank":
@@ -167,37 +175,66 @@ V = BigradedRank({(0, 0): 1, (-1, 0): 1})
 # --------------------------------------------------------------------------
 # Closed formulas
 # --------------------------------------------------------------------------
+#
+# The formulas read only the decomposition counts, and a corpus of
+# thousands of words has a few dozen distinct counts, so each group is
+# built once per distinct input and kept in a table beside its function.
+# These two tables serve the formula route only; the recursion keeps its
+# own (``_skein_group_cache``), so no cross-check reads the other route's
+# values.
+
+#: ``predicted_next_to_top`` of each ``(p, s, components, g)``.
+_next_to_top_cache: dict[tuple[int, int, int, int], BigradedRank] = {}
+
 
 def predicted_next_to_top(p: int, s: int, components: int, g: int) -> BigradedRank:
     """Closed-form next-to-top group from the decomposition counts.
 
     Supported at ``A = g - 1`` with rank ``(p + components - s) * C(s-1, k)``
-    at Maslov ``-1 - k``.
+    at Maslov ``-1 - k``.  Kept in ``_next_to_top_cache``.
     """
-    base = p + components - s
-    out: dict[tuple[int, int], int] = {}
-    for k in range(s):
-        r = base * comb(s - 1, k)
-        if r:
-            out[(-1 - k, g - 1)] = r
-    return BigradedRank(out)
+    key = (p, s, components, g)
+    if key not in _next_to_top_cache:
+        base = p + components - s
+        out: dict[tuple[int, int], int] = {}
+        for k in range(s):
+            r = base * comb(s - 1, k)
+            if r:
+                out[(-1 - k, g - 1)] = r
+        _next_to_top_cache[key] = BigradedRank(out)
+    return _next_to_top_cache[key]
+
+
+#: ``predicted_top`` of each ``(s, g)``.
+_top_cache: dict[tuple[int, int], BigradedRank] = {}
 
 
 def predicted_top(s: int, g: int) -> BigradedRank:
     """Top group: ``F[0]`` at ``A = g`` for non-split closures, and the
-    tensor of the pieces' tops with ``V^(x)(s-1)`` otherwise."""
-    return BigradedRank({(0, g): 1}).tensor(V.tensor_power(s - 1))
+    tensor of the pieces' tops with ``V^(x)(s-1)`` otherwise.  Kept in
+    ``_top_cache``."""
+    key = (s, g)
+    if key not in _top_cache:
+        _top_cache[key] = BigradedRank({(0, g): 1}).tensor(V.tensor_power(s - 1))
+    return _top_cache[key]
 
 
 # --------------------------------------------------------------------------
 # The inductive computation
 # --------------------------------------------------------------------------
 
+#: Split steps from each chain word down, by ``(budget, strands, letters)``.
 _profile_cache: dict[tuple[int, int, tuple[int, ...]], int] = {}
+
+#: The recursion's group for each ``(rank, g, pieces)``.
+_skein_group_cache: dict[tuple[int, int, int], BigradedRank] = {}
 
 
 def clear_caches() -> None:
+    _next_to_top_cache.clear()
+    _top_cache.clear()
     _profile_cache.clear()
+    _skein_group_cache.clear()
 
 
 def _split_steps(u: BraidWord, budget: int) -> int:
@@ -240,13 +277,19 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     same cut rules, so a recursion that also split at them would share
     any wrong cut with the formula, and ``formula_matches_recursion``
     would still agree.  Each piece contributes ``mu - 1 + S``.
+
+    The group is built once per ``(rank, g, pieces)`` and kept in
+    ``_skein_group_cache``; a chain that raises leaves no entry.
     """
     require_budget(budget)
     g = closure_genus(w)
     pieces = split_pieces(w)
     splits = sum(_split_steps(piece, budget) for piece in pieces)
     rank = closure_components(w) - len(pieces) + splits
-    return BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(len(pieces) - 1))
+    key = (rank, g, len(pieces))
+    if key not in _skein_group_cache:
+        _skein_group_cache[key] = BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(len(pieces) - 1))
+    return _skein_group_cache[key]
 
 
 # --------------------------------------------------------------------------

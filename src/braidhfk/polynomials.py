@@ -11,6 +11,7 @@ balanced digits; the sweeps and the Burau engine keep their values so.
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import index
 from typing import Iterable, Mapping
 
 
@@ -72,7 +73,13 @@ def _join_terms(parts: list[tuple[str, str]]) -> str:
 
 
 class HalfLaurent:
-    """Finitely supported map from doubled exponents to integer coefficients."""
+    """Finitely supported map from doubled exponents to integer coefficients.
+
+    No public method changes a value once built, so a table may hand one
+    object to every caller.  Exponents and coefficients are read with
+    ``operator.index``: a bool becomes an int, and any other non-integer
+    raises ``TypeError``.
+    """
 
     __slots__ = ("_c",)
 
@@ -80,8 +87,9 @@ class HalfLaurent:
         self._c: dict[int, int] = {}
         if coeffs:
             for k, v in coeffs.items():
+                k, v = index(k), index(v)
                 if v:
-                    self._c[int(k)] = int(v)
+                    self._c[k] = v
 
     # -- constructors ------------------------------------------------------
 
@@ -100,11 +108,10 @@ class HalfLaurent:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "HalfLaurent":
-        p = cls()
+        summed: dict[int, int] = {}
         for k, v in pairs:
-            p._c[k] = p._c.get(k, 0) + v
-        p._c = {k: v for k, v in p._c.items() if v}
-        return p
+            summed[k] = summed.get(k, 0) + v
+        return cls(summed)
 
     # -- ring operations ---------------------------------------------------
 
@@ -206,12 +213,16 @@ class HalfLaurent:
 
 
 class ConwayPoly:
-    """Integer polynomial in the Conway variable ``z`` (dense coefficients)."""
+    """Integer polynomial in the Conway variable ``z`` (dense coefficients).
+
+    Coefficients are read with ``operator.index``: a bool becomes an int,
+    and any other non-integer raises ``TypeError``.
+    """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = list(map(int, coeffs))
+        c = list(map(index, coeffs))
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)

@@ -139,6 +139,28 @@ class TestParse:
     def test_serialized_strips_comments(self):
         assert parse_serialized("1 1  # a Hopf link").letters == (1, 1)
 
+    @pytest.mark.parametrize(
+        "strands, letters, expected",
+        [
+            (3, (True, 2, 1, 2), (3, (1, 2, 1, 2))),
+            (True, (), (1, ())),
+            (3, (1.5, 2), ParseError),
+            (3, (2.0,), ParseError),
+            (3, ("1",), ParseError),
+            (3.0, (1, 2), ParseError),
+        ],
+    )
+    def test_integer_input_only(self, strands, letters, expected):
+        # a bool is read as an int; any other non-integer is refused, not truncated
+        if expected is ParseError:
+            with pytest.raises(ParseError):
+                BraidWord(strands, letters)
+            return
+        w = BraidWord(strands, letters)
+        assert (w.strands, w.letters) == expected
+        assert all(type(x) is int for x in (w.strands, *w.letters))
+        assert w.to_json() == {"strands": expected[0], "letters": list(expected[1])}
+
 
 class TestClosureComponents:
     def test_empty_word_is_unknot(self):

@@ -95,6 +95,25 @@ class TestBigradedRank:
         with pytest.raises(NegativeRankError):
             BigradedRank({(0, 0): -1})
 
+    @pytest.mark.parametrize(
+        "ranks, expected",
+        [
+            ({(True, 1): True, (0, 0): False}, [[1, 1, 1]]),
+            ({(0.9, 1): 1.7}, TypeError),
+            ({(0, 1): 2.0}, TypeError),
+            ({(0, 1.0): 1}, TypeError),
+            ({(0, 1): -0.5}, TypeError),
+        ],
+    )
+    def test_integer_input_only(self, ranks, expected):
+        # a bool is read as an int; any other non-integer is refused, not truncated
+        if expected is TypeError:
+            with pytest.raises(TypeError):
+                BigradedRank(ranks)
+            return
+        triples = BigradedRank(ranks).to_triples()
+        assert triples == expected and all(type(x) is int for t in triples for x in t)
+
     def test_str_and_triples(self):
         assert str(J) == "F[0,1] ⊕ F^2[-1,0] ⊕ F[-2,-1]"
         assert J.to_triples() == [[0, 1, 1], [-1, 0, 2], [-2, -1, 1]]

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,25 @@ class TestHalfLaurent:
         assert p.coefficient_doubled(-3) == 7
         assert p.coefficient(2) == 0
 
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ({True: True, 2: False}, [[1, 1]]),
+            ({1.5: 2.9}, TypeError),
+            ({1: 2.0}, TypeError),
+            ({1.5: 0}, TypeError),
+            ({"1": 1}, TypeError),
+        ],
+    )
+    def test_integer_input_only(self, coeffs, expected):
+        # a bool is read as an int; any other non-integer is refused, not truncated
+        if expected is TypeError:
+            with pytest.raises(TypeError):
+                HalfLaurent(coeffs)
+            return
+        pairs = HalfLaurent(coeffs).to_pairs()
+        assert pairs == expected and all(type(x) is int for pair in pairs for x in pair)
+
 
 class TestConwayPoly:
     def test_normalisation_strips_trailing_zeros(self):
@@ -109,6 +129,24 @@ class TestConwayPoly:
         for n in range(1, 302, 10):
             c = conway(t2(n))
             assert c.to_half_laurent() == substitution_by_powers(c)
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ([True, False, True], (1, 0, 1)),
+            ([1.5, 2.2], TypeError),
+            ([1, 2.0], TypeError),
+            (["1"], TypeError),
+        ],
+    )
+    def test_integer_input_only(self, coeffs, expected):
+        # a bool is read as an int; any other non-integer is refused, not truncated
+        if expected is TypeError:
+            with pytest.raises(TypeError):
+                ConwayPoly(coeffs)
+            return
+        c = ConwayPoly(coeffs).coefficients
+        assert c == expected and all(type(x) is int for x in c)
 
     def test_str(self):
         assert str(ConwayPoly((0, 2, 0, 1))) == "z^3 + 2 z"
