@@ -27,11 +27,15 @@ not on the strand count.
 divided by ``1 + t + ... + t^(n-1)``.  It packs each entry of ``Z[t]``
 into one integer, its value at ``t = 2**bits``, updates one column of
 the matrix per letter, and takes the determinant by fraction-free
-Bareiss elimination over ``Z``.  A bound on the entries' l1 norms sets
-the digit width of the build, and Hadamard's bound on the determinant's
-coefficients sets the width of the decode (see ``alexander_burau``).
-It costs polynomial time in the strand count and never consults the
-skein route or ``decompose``.
+Bareiss elimination over ``Z``.  A word in which some generator does not
+occur gives 0 before anything is built, read from its letters.  Otherwise
+a pass over the letters bounds the entries' l1 norms, and Hadamard's
+bound on the determinant's coefficients, taken from those norms, gives a
+decode width.  Up to ``_DIRECT_BITS`` bits the matrix is built at that
+width and eliminated as built; past it, it is built at the norms' own
+width and each entry is unpacked and repacked at the width its exact
+norms ask for (see ``alexander_burau``).  It costs polynomial time in the
+strand count and never consults the skein route or ``decompose``.
 
 The same small prime factors, and the same polynomials, recur across the
 words of a corpus, so each engine keeps tables of its own results,
@@ -262,6 +266,10 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * prev
 
 
+#: Widest decode, in bits per digit, at which ``_burau_euler`` builds the
+#: matrix at the decode width instead of unpacking and repacking it.
+_DIRECT_BITS = 64
+
 #: Graded Euler characteristic of each word evaluated, by ``(strands, letters)``.
 _burau_cache: dict[tuple[int, tuple[int, ...]], HalfLaurent] = {}
 
@@ -290,21 +298,39 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
     ``t*M[:,i-1] - t*M[:,i] + M[:,i+1]``, so each letter costs ``O(n)``
     integer updates.
 
-    Two bounds make the packing exact.  A pass over the letters first
-    bounds the l1 norm of the entries of each column, since the update
-    adds the norms of the three columns it reads.  Every coefficient of
-    an entry is at most that norm (plus 1 on the diagonal), which is below
-    ``2**(bits-1)`` when ``bits`` is the norm's bit length plus 2, so each
-    entry is its balanced base-``2**bits`` digits.  The determinant is
-    taken by Bareiss elimination over ``Z`` on the transpose, whose rows
-    are the stored columns.  Evaluation at ``2**bits`` is a ring map, so
-    the integer elimination divides exactly (Sylvester's identity) and
-    returns the determinant's value there, however large its intermediate
-    entries.  To decode that value, the entries are unpacked once and
-    repacked at the width Hadamard's bound ``prod_c sqrt(sum_r |M_rc|_1^2)``
-    asks for: on ``|t| = 1`` an entry is at most its l1 norm, so this
-    bounds ``|det|`` on the unit circle, and no coefficient of a
-    polynomial exceeds its maximum there.
+    A generator ``i`` that does not occur never writes column ``i``, so
+    that column of ``M - I`` is zero and the determinant is 0: such a word
+    returns zero before the matrix is built.
+
+    Evaluation at ``2**bits`` is a ring map, so at any width the build
+    gives the matrix's value there exactly, and Bareiss elimination over
+    ``Z`` on the transpose, whose rows are the stored columns, divides
+    exactly (Sylvester's identity) and returns the determinant's value at
+    ``2**bits``, however large its intermediate entries.  The width only
+    has to decode that value: its balanced base-``2**bits`` digits are the
+    determinant's coefficients once each lies below ``2**(bits-1)``.  A
+    pass over the letters bounds the l1 norm ``v_c`` of every entry of
+    column ``c``, since the update adds the norms of the three columns it
+    reads.  On ``|t| = 1`` an entry is at most its l1 norm, and no
+    coefficient of a polynomial exceeds its maximum there, so Hadamard's
+    bound ``prod_c sqrt((n-2) v_c^2 + (v_c+1)^2)`` bounds every
+    coefficient; the diagonal entry gains 1 from ``- I``.
+
+    When that bound needs at most ``_DIRECT_BITS`` bits, the matrix is
+    built at that width and eliminated as built.  Past it the bound
+    overshoots wherever entries cancel, and every Bareiss product pays for
+    the width, so the matrix is built at the norms' own width instead:
+    every coefficient is at most ``v_c`` (plus 1 on the diagonal), below
+    ``2**(bits-1)`` when ``bits`` is ``max_c v_c``'s bit length plus 2.
+    Its entries are unpacked once and repacked at the width Hadamard's
+    bound on their exact norms, ``prod_c sqrt(sum_r |M_rc|_1^2)``, asks for.
+    Timed per word (``BENCH_burau_direct.json``: best of 15, Python 3.11
+    on a 2-core Linux VM), the direct decode was faster at every
+    norm-bound width from 4 to 68 bits (an 8-strand word at 68 bits: 424
+    against 585 us repacked; T(7,2) at 40 bits: 98 against 157 us) and the
+    repack from 77 bits on (``s_1 ... s_9 s_9 ... s_1``: 347 against 367
+    us direct; T(12,13) at 395 bits: 1.5 against 154 ms).  The selector
+    sits at 64 bits, below that crossover.
 
     Results are kept in ``_burau_cache``, whether the word is checked whole
     or as a prime factor of another.  The table holds one entry per
@@ -320,19 +346,26 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
 def _burau_euler(w: BraidWord) -> HalfLaurent:
     """``alexander_burau`` of ``w``, computed afresh."""
     n = w.strands
+    if len(set(w.letters)) < n - 1:
+        return HalfLaurent.zero()  # an unused generator leaves a zero column in M - I
     norms = [0] + [1] * (n - 1) + [0]
     for i in w.letters:
         norms[i] += norms[i - 1] + norms[i + 1]
-    bits = max(norms).bit_length() + 2
+    hadamard_sq = prod((n - 2) * v * v + (v + 1) ** 2 for v in norms[1:n])
+    decode_bits = (isqrt(hadamard_sq) + 1).bit_length() + 2
+    bits = decode_bits if decode_bits <= _DIRECT_BITS else max(norms).bit_length() + 2
     cols = [[int(r == c) for r in range(n - 1)] for c in range(-1, n)]  # I with a zero column either side
     for i in w.letters:
         cols[i] = [((a - b) << bits) + c for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])]
     for c in range(1, n):
         cols[c][c - 1] -= 1
-    entries = [[_unpack(v, bits) for v in col] for col in cols[1:n]]
-    hadamard_sq = prod(sum(sum(map(abs, e)) ** 2 for e in col) for col in entries)
-    bits = (isqrt(hadamard_sq) + 1).bit_length() + 2
-    det = _bareiss_det([[_pack(e, bits) for e in col] for col in entries])
+    rows = cols[1:n]
+    if bits < decode_bits:
+        entries = [[_unpack(v, bits) for v in col] for col in rows]
+        hadamard_sq = prod(sum(sum(map(abs, e)) ** 2 for e in col) for col in entries)
+        bits = (isqrt(hadamard_sq) + 1).bit_length() + 2
+        rows = [[_pack(e, bits) for e in col] for col in entries]
+    det = _bareiss_det(rows)
     if not det:
         return HalfLaurent.zero()
     b = _unpack(det, bits)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 import sympy
@@ -14,7 +15,7 @@ from braidhfk.alexander import (
     hfk_euler,
 )
 from braidhfk.braidword import DEFAULT_BUDGET, BraidWord, closure_components, closure_genus
-from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, torus
+from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, torus, verify_all
 from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 from burau_oracle import burau_by_lists, euler_bridge, normalize_symmetric
 from skein_tree_oracle import conway_by_skein_tree
@@ -37,6 +38,14 @@ def torus_alexander_oracle(p, q):
 def random_word(strands, length, seed):
     rng = random.Random(seed)
     return BraidWord(strands, tuple(rng.randint(1, strands - 1) for _ in range(length)))
+
+
+def short_random_words(seed, count):
+    """``count`` words of 2 to 4 strands and at most 8 letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        yield BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))))
 
 
 # Conway polynomials of the (2, k) torus links follow the two-step
@@ -320,10 +329,58 @@ class TestBurau:
         # degree-1101 determinant on two strands
         assert alexander_burau(w) == burau_by_lists(w)
 
-    def test_split_inputs_vanish(self):
+    def test_split_inputs_vanish(self, monkeypatch):
+        # an unused generator leaves a zero column, so no elimination runs
+        from braidhfk import alexander
+
+        def forbidden(a):
+            raise AssertionError("Bareiss elimination ran")
+
+        monkeypatch.setattr(alexander, "_bareiss_det", forbidden)
         assert alexander_burau(BraidWord(4, (1, 1, 3, 3))) == HalfLaurent.zero()
         assert alexander_burau(BraidWord(3, (1, 1))) == HalfLaurent.zero()
         assert alexander_burau(BraidWord(2, ())) == HalfLaurent.zero()
+        assert alexander_burau(BraidWord(200, tuple(range(1, 199)))) == HalfLaurent.zero()
+        with pytest.raises(AssertionError, match="Bareiss elimination ran"):
+            alexander_burau(BraidWord(3, (1, 2, 2)))
+
+    @pytest.mark.parametrize("direct_bits", [0, 10**6], ids=["repack", "direct"])
+    def test_both_decode_widths_match_the_list_engine(self, direct_bits, monkeypatch):
+        # 0 repacks every word at its entries' Hadamard width; 10**6
+        # decodes every word at the width the norm bound gives
+        from braidhfk import alexander
+
+        monkeypatch.setattr(alexander, "_DIRECT_BITS", direct_bits)
+        for w in short_random_words(seed=6, count=150):
+            assert alexander_burau(w) == burau_by_lists(w)
+        for p in range(1, 9):
+            assert alexander_burau(torus(p, p + 1)) == burau_by_lists(torus(p, p + 1))
+
+    def test_corpus_words_decode_without_a_repack(self, monkeypatch):
+        # the corpus peaks at a 25-bit decode width; the 361-bit ladder
+        # and T(12,13) are past _DIRECT_BITS and repack
+        from braidhfk import alexander
+
+        calls = Counter()
+
+        def counting(fn):
+            def counted(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(alexander, "_pack", counting(_pack))
+        monkeypatch.setattr(alexander, "_bareiss_det", counting(_bareiss_det))
+        verify_all(corpus(4, 10))
+        connected = [key for key in alexander._burau_cache if len(set(key[1])) == key[0] - 1]
+        assert calls["_pack"] == 0
+        assert calls["_bareiss_det"] == len(connected) == 2523
+        for w in (torus(12, 13), BraidWord(30, tuple(range(1, 30)) + tuple(range(29, 0, -1)))):
+            calls.clear()
+            alexander_burau(w)
+            assert calls["_pack"] == (w.strands - 1) ** 2
+            assert calls["_bareiss_det"] == 1
 
     def test_unknot_cases(self):
         assert alexander_burau(BraidWord(1, ())) == HalfLaurent.one()
@@ -332,19 +389,11 @@ class TestBurau:
 
 class TestOracleAgreement:
     def test_random_words(self):
-        rng = random.Random(6)
-        for _ in range(150):
-            n = rng.randint(2, 4)
-            letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8)))
-            w = BraidWord(n, letters)
+        for w in short_random_words(seed=6, count=150):
             assert hfk_euler(w) == alexander_burau(w)
 
     def test_palindromic_and_top_one(self):
-        rng = random.Random(8)
-        for _ in range(100):
-            n = rng.randint(2, 4)
-            letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8)))
-            w = BraidWord(n, letters)
+        for w in short_random_words(seed=8, count=100):
             p = hfk_euler(w)
             assert p.is_symmetric()
             if w.is_connected:
@@ -384,11 +433,7 @@ class TestSecondCoefficient:
     def test_counts_identity_on_random_words(self):
         from braidhfk.braidword import closure_components, decompose
 
-        rng = random.Random(10)
-        for _ in range(80):
-            n = rng.randint(2, 4)
-            letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8)))
-            w = BraidWord(n, letters)
+        for w in short_random_words(seed=10, count=80):
             lc = decompose(w)
             if lc.split_count > 1:
                 # the Euler characteristic of a split closure vanishes
@@ -426,3 +471,16 @@ class TestEngineIndependence:
         monkeypatch.setattr(braidword, "decompose", forbidden)
         monkeypatch.setattr(alexander, "decompose", forbidden, raising=False)
         assert hfk_euler(w) == alexander_burau(w)
+
+    def test_burau_reads_an_unused_generator_from_the_letters(self, monkeypatch):
+        # Burau finds the zero column itself, not through the split pieces
+        from braidhfk import alexander, braidword
+
+        def forbidden(*args):
+            raise AssertionError("Burau engine called decompose or split_pieces")
+
+        w = disjoint_union(torus(2, 3), torus(2, 2))
+        for name in ("decompose", "split_pieces"):
+            monkeypatch.setattr(braidword, name, forbidden)
+            monkeypatch.setattr(alexander, name, forbidden, raising=False)
+        assert alexander_burau(w) == HalfLaurent.zero()

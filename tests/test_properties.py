@@ -3,9 +3,10 @@ words, the doubled-crossing search returns squares of the move orbit and
 misses no pair the gap check sees, the next-to-top chain stays on
 connected words and ends on its length, the Kauffman sweep counts what the
 enumerator lists and the top-slice sweep reads the same histogram, the
-Hecke sweep agrees with the skein tree, the engines obey the
-connected-sum and disjoint-union laws, random words pass ``verify``, and
-the facts behind its five structural checks hold.
+Hecke sweep agrees with the skein tree, Burau decodes every determinant
+at the width its norm bound gives, the engines obey the connected-sum
+and disjoint-union laws, random words pass ``verify``, and the facts
+behind its five structural checks hold.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
@@ -14,11 +15,12 @@ of them.
 """
 
 from collections import Counter
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from braidhfk import hfk
+from braidhfk import alexander, hfk
 from braidhfk.alexander import alexander_burau, conway, hfk_euler
 from braidhfk.braidword import (
     DEFAULT_BUDGET,
@@ -163,6 +165,16 @@ def connected_words(draw, max_strands=5, max_len=8):
     n = draw(st.integers(2, max_strands))
     extra = draw(st.lists(st.integers(1, n - 1), max_size=max_len - (n - 1)))
     return BraidWord(n, tuple(draw(st.permutations(list(range(1, n)) + extra))))
+
+
+@PROPERTY
+@given(connected_words(max_strands=6, max_len=30))
+def test_the_norm_bound_decodes_every_word_directly(w):
+    # the elimination gives det(2**bits) exactly at any width, so decoding
+    # at the width of the norms' Hadamard bound is right only if that
+    # bound holds for the determinant's coefficients
+    with mock.patch.object(alexander, "_DIRECT_BITS", 10**6):
+        assert alexander_burau(w) == burau_by_lists(w)
 
 
 @st.composite
