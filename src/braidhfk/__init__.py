@@ -8,14 +8,10 @@ Floer homology groups computed both by closed formula and by the skein
 exact triangle.
 """
 
-from .alexander import (
-    EngineFailure,
-    alexander_burau,
-    conway,
-    hfk_euler,
-)
+from .alexander import alexander_burau, conway, hfk_euler
 from .braidword import (
     BraidWord,
+    BudgetError,
     DEFAULT_BUDGET,
     LinkClass,
     ParseError,
@@ -47,7 +43,6 @@ from .hfk import (
     BigradedRank,
     J,
     NegativeRankError,
-    UnverifiableError,
     V,
     next_to_top_via_skein,
     predicted_next_to_top,
@@ -56,7 +51,6 @@ from .hfk import (
 )
 from .kauffman import (
     ClosedBraidDiagram,
-    KauffmanBudgetError,
     KauffmanState,
     MultiComponentError,
     SplitDiagramError,
@@ -81,14 +75,13 @@ __all__ = [
     "BadParamsError",
     "BigradedRank",
     "BraidWord",
+    "BudgetError",
     "ClosedBraidDiagram",
     "ConwayPoly",
     "DEFAULT_BUDGET",
-    "EngineFailure",
     "HalfLaurent",
     "InexactDivisionError",
     "J",
-    "KauffmanBudgetError",
     "KauffmanState",
     "LinkClass",
     "MultiComponentError",
@@ -99,7 +92,6 @@ __all__ = [
     "SeifertMultigraph",
     "SplitDiagramError",
     "UnknownFamilyError",
-    "UnverifiableError",
     "V",
     "VerificationReport",
     "alexander_burau",

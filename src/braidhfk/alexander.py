@@ -48,7 +48,8 @@ coefficients.  Burau keeps one: ``_burau_cache`` holds the result of
 There is at most one entry per distinct factor, polynomial or word, so
 the tables grow linearly in the input; ``clear_caches`` empties all
 three.  No table of one engine reads the other's, and none keeps a
-failure.
+failure, so whether a call raises ``BudgetError`` never depends on what
+ran before it.
 
 Both are normalised to the same graded Euler characteristic: the result
 of ``hfk_euler`` equals ``sum_(m,a) (-1)^m rank_m(L, a) t^a`` over the
@@ -69,25 +70,13 @@ from operator import itemgetter
 
 from .braidword import (
     BraidWord,
+    BudgetError,
     DEFAULT_BUDGET,
     closure_components,
     prime_factors,
     require_budget,
 )
 from .polynomials import ConwayPoly, HalfLaurent, InexactDivisionError, _pack, _unpack
-
-
-class EngineFailure(RuntimeError):
-    """The skein engine ran out of budget: after some letter of the sweep,
-    or while destabilising some strand, a table of the Hecke sweep held
-    more than ``budget`` strand arrangements.  The size of every table
-    depends only on the word, so whether a word fails does not depend on
-    what ran before it.  ``_conway_cache`` keeps that so: it holds only
-    successful sweeps, so a failing factor is swept, and its failure
-    raised with the factor and the word named, every time; and the budget
-    is in its key, so a factor swept under a larger budget does not answer
-    for a smaller one.  Each arrangement holds one number per strand,
-    so a table of many strands takes memory in proportion."""
 
 
 # --------------------------------------------------------------------------
@@ -122,9 +111,9 @@ def _times_t(table: dict[tuple[int, ...], int], i: int, n: int, bits: int) -> di
     return out
 
 
-def _over_budget(u: BraidWord, w: BraidWord, budget: int, where: str) -> EngineFailure:
+def _over_budget(u: BraidWord, w: BraidWord, budget: int, where: str) -> BudgetError:
     name = str(u) if u == w else f"{u}, a factor of {w},"
-    return EngineFailure(f"Hecke sweep of {name} passed the budget of {budget} entries {where}")
+    return BudgetError(f"Hecke sweep of {name} passed the budget of {budget} entries {where}")
 
 
 def _sweep(u: BraidWord, budget: int, w: BraidWord) -> ConwayPoly:
@@ -148,9 +137,11 @@ def _sweep(u: BraidWord, budget: int, w: BraidWord) -> ConwayPoly:
     At one strand the one coefficient is the polynomial.
 
     ``budget`` caps the entries of every table, the sweep's after each
-    letter and the trace's after each product; ``EngineFailure`` names
+    letter and the trace's after each product; ``BudgetError`` names
     the letter or the strand where one first held more, and ``w``, the
-    word ``u`` is a prime factor of, when it is not ``u`` itself.
+    word ``u`` is a prime factor of, when it is not ``u`` itself.  Each
+    arrangement holds one number per strand, so a table of many strands
+    takes memory in proportion.
     """
     n = u.strands
     bits = ceil(len(u.letters) * _LOG2_PHI) + 2
@@ -186,7 +177,7 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     traces (see ``_sweep``).
 
     ``budget`` caps the entries of every table of each factor's sweep;
-    past it ``EngineFailure`` names the factor, and the word when the
+    past it ``BudgetError`` names the factor, and the word when the
     factor is a proper piece of it.
 
     Each factor's polynomial is kept in ``_conway_cache``, so a factor met
@@ -346,7 +337,7 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
 def _burau_euler(w: BraidWord) -> HalfLaurent:
     """``alexander_burau`` of ``w``, computed afresh."""
     n = w.strands
-    if len(set(w.letters)) < n - 1:
+    if not w.is_connected:
         return HalfLaurent.zero()  # an unused generator leaves a zero column in M - I
     norms = [0] + [1] * (n - 1) + [0]
     for i in w.letters:

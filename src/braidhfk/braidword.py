@@ -55,7 +55,9 @@ from typing import Optional
 #: ``find_adjacent_square``, the entries of each table of the skein Conway
 #: sweep, the live masks of the Kauffman top-slice sweep, the (mask,
 #: bigrading) entries of ``bigraded_counts`` and the search nodes of
-#: ``enumerate_states``.
+#: ``enumerate_states``.  Past it every stage raises ``BudgetError``, except
+#: ``find_adjacent_square``, which returns None for the next-to-top chain
+#: to raise.
 DEFAULT_BUDGET = 200_000
 
 #: Largest strand count and word length ``parse_braid`` accepts.  They stop
@@ -254,6 +256,21 @@ def closure_genus(w: BraidWord) -> int:
     """Genus of the closure, (components - chi)/2 with chi = strands - length."""
     chi = w.strands - len(w.letters)
     return (closure_components(w) - chi) // 2
+
+
+class BudgetError(RuntimeError):
+    """A stage of exponential cost ran past its budget: a table of the
+    skein Conway sweep, the next-to-top chain's square search, or a
+    Kauffman sweep or listing.
+
+    Each budgeted count depends only on the stage's input, so whether a
+    call raises never depends on what ran before it.  The tables that could
+    answer a later call, ``alexander._conway_cache`` and
+    ``hfk._profile_cache``, keep that so: they hold only successes, so a
+    failing input is searched, and its failure raised, every time; and the
+    budget is in their key, so a result found under a larger budget does
+    not answer for a smaller one.
+    """
 
 
 def require_budget(budget: int) -> None:

@@ -12,11 +12,10 @@ import sys
 from typing import Optional
 
 from . import harness
-from .alexander import EngineFailure, alexander_burau, hfk_euler
-from .braidword import DEFAULT_BUDGET, closure_genus, decompose, parse_serialized
+from .alexander import alexander_burau, hfk_euler
+from .braidword import BudgetError, DEFAULT_BUDGET, closure_genus, decompose, parse_serialized
 from .hfk import next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
 from .kauffman import (
-    KauffmanBudgetError,
     MultiComponentError,
     SplitDiagramError,
     bigraded_counts,
@@ -70,7 +69,7 @@ def _cmd_info(args) -> int:
 
 
 #: The engine failures ``verify`` records as notes.
-_ENGINE_FAILURES = {"skein": EngineFailure, "burau": ArithmeticError, "kauffman": KauffmanBudgetError}
+_ENGINE_FAILURES = {"skein": BudgetError, "burau": ArithmeticError, "kauffman": BudgetError}
 
 
 def _cmd_alexander(args) -> int:
@@ -150,7 +149,7 @@ def _cmd_states(args) -> int:
     else:
         try:
             states = enumerate_states(d, args.budget)
-        except KauffmanBudgetError as exc:
+        except BudgetError as exc:
             print(f"kauffman engine: {exc}", file=sys.stderr)
             return 2
         for s in states:
@@ -207,7 +206,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_rn(args) -> int:
-    ranks = rn_next_to_top(args.n, args.budget)
+    ranks = rn_next_to_top(args.n)
     _emit(
         {"n": args.n, "next_to_top": ranks.to_triples()},
         args.json,
@@ -274,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rn", help="next-to-top group of the ring of n unknots")
     p.add_argument("n", type=int)
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_rn)
 
     return parser

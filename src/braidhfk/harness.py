@@ -16,9 +16,10 @@ import json
 import time
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .alexander import EngineFailure, alexander_burau, hfk_euler
+from .alexander import alexander_burau, hfk_euler
 from .braidword import (
     BraidWord,
+    BudgetError,
     DEFAULT_BUDGET,
     MAX_CORPUS_WORDS,
     RangeError,
@@ -29,7 +30,6 @@ from .braidword import (
 )
 from .hfk import (
     BigradedRank,
-    UnverifiableError,
     next_to_top_via_skein,
     predicted_next_to_top,
     predicted_top,
@@ -39,7 +39,6 @@ from .hfk import (
 # tracer wraps them on this module
 from .kauffman import (
     M_WEIGHTS,
-    KauffmanBudgetError,
     bigraded_counts,
     build_diagram,
     enumerate_states,
@@ -353,7 +352,11 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
 
     Checks of the Euler characteristic read ``euler_poly``: skein's, or Burau's when skein
     failed.  Only ``skein_equals_burau`` and ``split_vanishing`` compare the engines, so a
-    failing engine fails only its own checks.
+    failing engine fails only its own checks.  The skein sweep, the Kauffman sweep and the
+    next-to-top chain fail only by ``BudgetError``, recorded as a note.  The chain divides
+    nothing, and its rank ``closure_components(w) - len(pieces) + S`` is never negative:
+    each split piece closes to at least one component, and ``S >= 0``.  Only Burau's
+    exactness checks raise ``ArithmeticError``.
 
     The Seifert surface of a braid closure has one disc per strand and one band per
     letter, so chi is ``n - len`` and the genus ``(mu - chi) / 2`` with mu from
@@ -395,7 +398,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     kauffman_poly: Optional[HalfLaurent] = None
     try:
         skein_poly = hfk_euler(w, budget)
-    except EngineFailure as exc:
+    except BudgetError as exc:
         notes.append(f"skein engine: {exc}")
     try:
         burau_poly = alexander_burau(w)
@@ -407,7 +410,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     if components == 1:
         try:
             kauffman_poly, top_slice = euler_and_top_slice(build_diagram(w), budget)
-        except KauffmanBudgetError as exc:
+        except BudgetError as exc:
             notes.append(f"kauffman engine: {exc}")
             for name in ("kauffman_matches", "kauffman_top_state_unique", "kauffman_maslov_band"):
                 checks[name] = False
@@ -428,7 +431,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     skein_ntt: Optional[BigradedRank] = None
     try:
         skein_ntt = next_to_top_via_skein(w, budget)
-    except (UnverifiableError, ArithmeticError) as exc:
+    except BudgetError as exc:
         notes.append(f"skein recursion: {exc}")
     checks["formula_matches_recursion"] = skein_ntt is not None and skein_ntt == pred_ntt
 

@@ -61,6 +61,7 @@ from typing import Mapping
 
 from .braidword import (
     BraidWord,
+    BudgetError,
     DEFAULT_BUDGET,
     MAX_STRANDS,
     RangeError,
@@ -75,10 +76,6 @@ from .polynomials import HalfLaurent
 
 class NegativeRankError(ArithmeticError):
     """A rank passed to ``BigradedRank`` is negative."""
-
-
-class UnverifiableError(RuntimeError):
-    """The skein recursion could not expose a doubled crossing within budget."""
 
 
 class BigradedRank:
@@ -243,7 +240,8 @@ def _split_steps(u: BraidWord, budget: int) -> int:
     Walks the chain until a word has ``n - 1`` letters (genus 0) or is
     tabled, and then tables, for each word walked, the split steps from it
     down.  The table key holds the budget, so that no count found under
-    one budget answers another.
+    one budget answers another.  Raises ``BudgetError`` when the square
+    search of a word finds no doubled crossing within the budget.
     """
     n, letters = u.strands, u.letters
     walked: list[tuple[tuple[int, int, tuple[int, ...]], bool]] = []
@@ -255,7 +253,7 @@ def _split_steps(u: BraidWord, budget: int) -> int:
             break
         sq = _square_letters(n, letters, budget)
         if sq is None:
-            raise UnverifiableError(
+            raise BudgetError(
                 f"no doubled crossing found within budget for {BraidWord(n, letters)}"
             )
         walked.append((key, sq[0] not in sq[2:]))
@@ -279,7 +277,8 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     would still agree.  Each piece contributes ``mu - 1 + S``.
 
     The group is built once per ``(rank, g, pieces)`` and kept in
-    ``_skein_group_cache``; a chain that raises leaves no entry.
+    ``_skein_group_cache``; a chain that raises ``BudgetError`` leaves no
+    entry.
     """
     require_budget(budget)
     g = closure_genus(w)
@@ -296,7 +295,7 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
 # Rings of linked unknots
 # --------------------------------------------------------------------------
 
-def rn_next_to_top(n: int, budget: int = DEFAULT_BUDGET) -> BigradedRank:
+def rn_next_to_top(n: int) -> BigradedRank:
     """Next-to-top group of the ring of ``n`` unknots, each clasped to the next.
 
     Resolving one clasp of the ring of ``m`` unknots gives the ring of
@@ -306,12 +305,14 @@ def rn_next_to_top(n: int, budget: int = DEFAULT_BUDGET) -> BigradedRank:
     1 to the rank, and the sum over the ``n - 2`` unknots past the (2,4)
     torus link, the ring of two, puts ``rank(T(2,4)) + n - 2`` at
     ``(-1, n-1)``.  Rings on more than ``MAX_STRANDS`` unknots raise
-    ``RangeError``.
+    ``RangeError``.  The base case runs the chain on ``s_1^4``, where
+    ``_exchange`` finds every square at the second letter, so the chain
+    visits no simple conjugate and never spends its default budget.
     """
     if n < 3:
         raise ValueError(f"ring computation needs n >= 3, got {n}")
     if n > MAX_STRANDS:
         raise RangeError(f"rings of at most {MAX_STRANDS} unknots are accepted, got {n}")
     # two unknots clasped twice close to the (2,4) torus link, of genus 1
-    rank = next_to_top_via_skein(BraidWord(2, (1, 1, 1, 1)), budget).rank_at(-1, 1)
+    rank = next_to_top_via_skein(BraidWord(2, (1, 1, 1, 1))).rank_at(-1, 1)
     return BigradedRank({(-1, n - 1): rank + n - 2})

@@ -50,17 +50,17 @@ whose signed states cancel and that hold no state of the slice are
 dropped; its budget counts live masks.  ``bigraded_counts`` builds the
 whole (Maslov, Alexander) histogram, one histogram per mask under a
 budget of (mask, bigrading) entries; it serves ``states --json`` and is
-the top-slice sweep's oracle.  Past its budget either sweep raises
-``KauffmanBudgetError``.  ``enumerate_states`` lists the states
+the top-slice sweep's oracle.  ``enumerate_states`` lists the states
 themselves, by backtracking under a budget of search nodes; it serves the
-``states`` text listing and the tests.
+``states`` text listing and the tests.  Past its budget each of the three
+raises ``BudgetError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .braidword import BraidWord, DEFAULT_BUDGET, closure_components, require_budget
+from .braidword import BraidWord, BudgetError, DEFAULT_BUDGET, closure_components, require_budget
 from .polynomials import HalfLaurent, _pack, _unpack
 
 OUT = "OUT"
@@ -80,10 +80,6 @@ class MultiComponentError(ValueError):
 
 class SplitDiagramError(ValueError):
     """The closed diagram is disconnected (some generator never occurs)."""
-
-
-class KauffmanBudgetError(RuntimeError):
-    """The sweep's live table outgrew its budget."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,7 +166,7 @@ def enumerate_states(
 ) -> list[KauffmanState]:
     """All Kauffman states, by backtracking; sorted for reproducible output.
 
-    Raises ``KauffmanBudgetError`` once the search has entered more than
+    Raises ``BudgetError`` once the search has entered more than
     ``budget`` backtracking nodes.  The search keeps its own stack, so a
     word with more crossings than the interpreter's recursion limit still
     reaches the budget.
@@ -206,7 +202,7 @@ def enumerate_states(
                 used |= 1 << options[j][0]
                 nodes += 1
                 if nodes > budget:
-                    raise KauffmanBudgetError(
+                    raise BudgetError(
                         f"state listing reached {nodes} backtracking nodes (budget {budget})"
                     )
                 tries.append(0)
@@ -218,19 +214,21 @@ def enumerate_states(
     return states
 
 
-def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], list[int] | None]:
+def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], list[int]]:
     """Each crossing's (region, quadrant) slots off the forbidden regions, and
-    the bits of the regions it touches last, which retire after it; ``None``
-    in place of the bits when some usable region touches no slot, so that
-    the diagram has no states.
+    the bits of the regions it touches last, which retire after it.
+
+    Every region off the forbidden two touches some slot, so every bit
+    retires: the gap ``c{i}.{j}`` is the OUT region of the crossing that
+    opens it, and the inner disk is LEFT of every ``s_1`` crossing.  (A
+    diagram cut by hand to leave a region unreached has more crossings
+    than reachable regions, so the sweeps find no state in it.)
     """
     allowed = [[(r, q) for q, r in s if r not in d.forbidden] for s in d.slots]
     last_touch: dict[int, int] = {}
     for p, slots in enumerate(allowed):
         for r, _ in slots:
             last_touch[r] = p
-    if len(last_touch) < d.region_count - len(d.forbidden):
-        return allowed, None
     retiring = [0] * d.crossing_count
     for r, p in last_touch.items():
         retiring[p] |= 1 << r
@@ -243,13 +241,11 @@ def bigraded_counts(
     """Histogram of state bigradings (Maslov, Alexander) -> count, by the
     frontier sweep of the module docstring.
 
-    Raises ``KauffmanBudgetError`` once the live table holds more than
+    Raises ``BudgetError`` once the live table holds more than
     ``budget`` (mask, bigrading) entries.
     """
     require_budget(budget)
     allowed, retiring = _sweep_plan(d)
-    if retiring is None:
-        return {}
     table: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
     for p, slots in enumerate(allowed):
         done = retiring[p]
@@ -269,7 +265,7 @@ def bigraded_counts(
         table = nxt
         live = sum(map(len, table.values()))
         if live > budget:
-            raise KauffmanBudgetError(
+            raise BudgetError(
                 f"state table reached {live} entries at crossing {p + 1}"
                 f" of {d.crossing_count} (budget {budget})"
             )
@@ -298,13 +294,11 @@ def euler_and_top_slice(
     The digit width doubles, and the table is repacked, once the live
     state count times a crossing's slot count could outgrow it.
 
-    Raises ``KauffmanBudgetError`` once the live table holds more than
+    Raises ``BudgetError`` once the live table holds more than
     ``budget`` masks.
     """
     require_budget(budget)
     allowed, retiring = _sweep_plan(d)
-    if retiring is None:
-        return HalfLaurent.zero(), {}
     c, top = d.crossing_count, d.word.strands - 1
     # the slice's cells: cost 2i..top at -M = i.  Only IN raises -M, so a
     # move from a kept cell lands at most at cost top + 1 in its own row,
@@ -357,7 +351,7 @@ def euler_and_top_slice(
                 table[mask] = (signed, sliced, k)
                 total += k
         if len(table) > budget:
-            raise KauffmanBudgetError(
+            raise BudgetError(
                 f"state table reached {len(table)} masks at crossing {p + 1}"
                 f" of {c} (budget {budget})"
             )

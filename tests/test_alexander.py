@@ -6,7 +6,6 @@ import pytest
 import sympy
 
 from braidhfk.alexander import (
-    EngineFailure,
     _bareiss_det,
     _pack,
     _unpack,
@@ -14,7 +13,7 @@ from braidhfk.alexander import (
     conway,
     hfk_euler,
 )
-from braidhfk.braidword import DEFAULT_BUDGET, BraidWord, closure_components, closure_genus
+from braidhfk.braidword import DEFAULT_BUDGET, BraidWord, BudgetError, closure_components, closure_genus
 from braidhfk.harness import connected_sum, corpus, disjoint_union, figure3, torus, verify_all
 from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 from burau_oracle import burau_by_lists, euler_bridge, normalize_symmetric
@@ -107,7 +106,7 @@ class TestConway:
 
     def test_budget_failure_names_the_factor_and_the_word(self):
         w = connected_sum(torus(2, 3), torus(6, 7))
-        with pytest.raises(EngineFailure) as info:
+        with pytest.raises(BudgetError) as info:
             conway(w, budget=719)
         assert str(info.value) == (
             f"Hecke sweep of {torus(6, 7)}, a factor of {w}, passed the budget of 719 entries after letter 30"
@@ -119,11 +118,11 @@ class TestConway:
         from braidhfk import alexander
 
         w = connected_sum(torus(2, 3), torus(6, 7))
-        with pytest.raises(EngineFailure) as cold:
+        with pytest.raises(BudgetError) as cold:
             hfk_euler(w, budget=719)
         assert hfk_euler(w) == alexander_burau(w)
         assert (DEFAULT_BUDGET, 6, torus(6, 7).letters) in alexander._conway_cache
-        with pytest.raises(EngineFailure) as warm:
+        with pytest.raises(BudgetError) as warm:
             hfk_euler(w, budget=719)
         assert str(warm.value) == str(cold.value)
         with pytest.raises(ValueError, match="budget must be positive"):
@@ -139,7 +138,7 @@ class TestConway:
         w = BraidWord(1000, sq + tuple(range(1, 1000)) * 2)
         tracemalloc.start()
         try:
-            with pytest.raises(EngineFailure, match="budget of 2000 entries after letter 22$"):
+            with pytest.raises(BudgetError, match="budget of 2000 entries after letter 22$"):
                 conway(w, budget=2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -156,14 +155,14 @@ class TestConway:
         # depends only on the word, so a failed call leaves nothing behind
         w = torus(5, 6)
         for _ in range(2):
-            with pytest.raises(EngineFailure, match="budget of 119 entries"):
+            with pytest.raises(BudgetError, match="budget of 119 entries"):
                 conway(w, budget=119)
         assert hfk_euler(w, budget=120) == alexander_burau(w)
 
     def test_budget_failure_names_the_word_and_the_letter(self):
         # T(6,7)'s sweep first holds 6! = 720 arrangements after letter 30
         w = torus(6, 7)
-        with pytest.raises(EngineFailure) as info:
+        with pytest.raises(BudgetError) as info:
             conway(w, budget=719)
         assert str(info.value) == f"Hecke sweep of {w} passed the budget of 719 entries after letter 30"
 
@@ -445,7 +444,7 @@ class TestSecondCoefficient:
     def test_engine_failure_surfaces(self):
         # a simple braid keeps one arrangement through the sweep, but its
         # trace needs tables of up to 4, past a budget of 1
-        with pytest.raises(EngineFailure, match="destabilising strand 5"):
+        with pytest.raises(BudgetError, match="destabilising strand 5"):
             conway(BraidWord(5, (4, 2, 3, 4, 1, 2, 3, 1)), budget=1)
 
 

@@ -245,7 +245,7 @@ class TestFamilyAndRings:
         assert code == 0
         assert out.strip() == "strands=3: 1 1 2 2 2"
 
-    @pytest.mark.parametrize("argv", [("info", "1 1"), ("family", "torus", "2", "3")])
+    @pytest.mark.parametrize("argv", [("info", "1 1"), ("family", "torus", "2", "3"), ("rn", "5")])
     def test_budget_only_where_it_is_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--budget", "5"])
@@ -260,12 +260,6 @@ class TestFamilyAndRings:
         code, out, _ = run(capsys, "rn", str(n))
         assert code == 0
         assert out == f"ring of {n} unknots, next-to-top: F^{n}[-1,{n - 1}]\n"
-
-    def test_rn_passes_budget(self, capsys):
-        run(capsys, "rn", "5")  # a warm memo must not skip the budget check
-        code, _, err = run(capsys, "rn", "5", "--budget", "0")
-        assert code == 2
-        assert "budget" in err
 
     def test_rn_out_of_range(self, capsys):
         code, _, err = run(capsys, "rn", "2")

@@ -306,10 +306,10 @@ class TestVerify:
 
     def test_second_coefficient_reads_burau_without_skein(self, monkeypatch):
         from braidhfk import harness
-        from braidhfk.alexander import EngineFailure
+        from braidhfk.braidword import BudgetError
 
         def failing(*args):
-            raise EngineFailure("skein route unavailable")
+            raise BudgetError("skein route unavailable")
 
         monkeypatch.setattr(harness, "hfk_euler", failing)
         r = verify(BraidWord(3, (1, 1, 2, 2, 2, 1, 2, 2, 2, 2)))
@@ -326,10 +326,10 @@ class TestVerify:
     ])
     def test_a_failing_skein_engine_fails_only_the_comparisons(self, w, compared, monkeypatch):
         from braidhfk import harness
-        from braidhfk.alexander import EngineFailure
+        from braidhfk.braidword import BudgetError
 
         def failing(*args):
-            raise EngineFailure("skein route unavailable")
+            raise BudgetError("skein route unavailable")
 
         monkeypatch.setattr(harness, "hfk_euler", failing)
         r = verify(w)

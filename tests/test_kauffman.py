@@ -11,13 +11,12 @@ from math import prod
 import pytest
 
 from braidhfk.alexander import hfk_euler
-from braidhfk.braidword import BraidWord, closure_components, closure_genus
+from braidhfk.braidword import BraidWord, BudgetError, closure_components, closure_genus
 from braidhfk.harness import connected_sum, corpus, figure3, t2, torus
 from braidhfk.hfk import BigradedRank
 from braidhfk.kauffman import (
     A_WEIGHTS_DOUBLED,
     M_WEIGHTS,
-    KauffmanBudgetError,
     MultiComponentError,
     SplitDiagramError,
     bigraded_counts,
@@ -125,7 +124,7 @@ class TestEnumerateStates:
         # the trefoil's listing enters 9 nodes: 9 finishes and 8 does not
         d = build_diagram(BraidWord(2, (1, 1, 1)))
         assert len(enumerate_states(d, budget=9)) == 3
-        with pytest.raises(KauffmanBudgetError, match="budget 8"):
+        with pytest.raises(BudgetError, match="budget 8"):
             enumerate_states(d, budget=8)
 
     @pytest.mark.parametrize("budget", [0, -3])
@@ -193,9 +192,18 @@ class TestSweep:
         assert bigraded_counts(d) == {}
         assert euler_and_top_slice(d) == (HalfLaurent.zero(), {})
 
+    def test_allowed_slots_reach_every_region_off_the_forbidden_two(self):
+        # why the sweep plan retires every usable region's bit
+        knots = [w for w in corpus(4, 10) if closure_components(w) == 1]
+        assert len(knots) == 319
+        for w in knots + [torus(p, p + 1) for p in range(1, 9)]:
+            d = build_diagram(w)
+            reached = {r for slots in d.slots for _, r in slots} - d.forbidden
+            assert reached == set(range(d.region_count)) - d.forbidden, w
+
     def test_budget_caps_the_live_table(self):
         d = build_diagram(torus(4, 9))
-        with pytest.raises(KauffmanBudgetError, match="budget 100"):
+        with pytest.raises(BudgetError, match="budget 100"):
             bigraded_counts(d, budget=100)
         assert sum(bigraded_counts(d).values()) == 632025
 
@@ -245,7 +253,7 @@ class TestTopSliceSweep:
     def test_budget_counts_live_masks(self):
         d = build_diagram(torus(4, 9))
         assert euler_and_top_slice(d, budget=16) == fold_and_top_slice(d)
-        with pytest.raises(KauffmanBudgetError, match=r"reached 16 masks at crossing 15 of 27 \(budget 15\)"):
+        with pytest.raises(BudgetError, match=r"reached 16 masks at crossing 15 of 27 \(budget 15\)"):
             euler_and_top_slice(d, budget=15)
 
 
