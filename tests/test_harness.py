@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from braidhfk.braidword import (
     MAX_STRANDS,
     BraidWord,
     RangeError,
+    closure_components,
     closure_genus,
     decompose,
     parse_serialized,
@@ -298,11 +300,18 @@ class TestVerify:
         assert r.kauffman_euler == r.skein_euler
 
     def test_kauffman_budget_fails_its_checks_with_a_note(self):
-        r = verify(torus(7, 2), budget=100)
+        r = verify(torus(6, 7), budget=100)
         kauffman_checks = ("kauffman_matches", "kauffman_top_state_unique", "kauffman_maslov_band")
         assert [r.checks[name] for name in kauffman_checks] == [False, False, False]
         assert r.kauffman_euler is None
         assert any(note.startswith("kauffman engine: ") for note in r.notes)
+
+    def test_column_order_keeps_the_kauffman_sweep_under_the_budget(self):
+        # in word order the table of T(7,2) reached 301 masks; in column
+        # order it peaks at 4
+        r = verify(torus(7, 2), budget=100)
+        assert all(r.checks[name] for name in KAUFFMAN_CHECKS)
+        assert not any(note.startswith("kauffman engine: ") for note in r.notes)
 
     def test_second_coefficient_reads_burau_without_skein(self, monkeypatch):
         from braidhfk import harness
@@ -397,6 +406,50 @@ class TestVerify:
         assert payload["pass"] is True
         assert "elapsed" not in payload
         assert "elapsed" in verify(BraidWord(2, (1, 1))).to_json(include_timing=True)
+
+
+KAUFFMAN_CHECKS = ("kauffman_matches", "kauffman_top_state_unique", "kauffman_maslov_band")
+CEILING_WALL_S = 5
+
+
+def random_knot(rng, strands, length):
+    """Every generator once and the rest uniform, shuffled: the first draw
+    whose closure is a knot."""
+    while True:
+        letters = list(range(1, strands)) + [rng.randint(1, strands - 1) for _ in range(length - strands + 1)]
+        rng.shuffle(letters)
+        w = BraidWord(strands, tuple(letters))
+        if closure_components(w) == 1:
+            return w
+
+
+class TestKauffmanCeiling:
+    """Words whose Kauffman sweep passed its budget in word order, where
+    every column's wrapping gap stays live from the first letter to the
+    last; in column order they pass in milliseconds."""
+
+    def timed_verify(self, w):
+        start = time.perf_counter()
+        r = verify(w)
+        assert time.perf_counter() - start < CEILING_WALL_S
+        return r
+
+    def test_t31_2_passes_every_check(self):
+        r = self.timed_verify(torus(31, 2))
+        assert r.overall_pass, r.render_text()
+        assert r.notes == ()
+
+    def test_random_twenty_strand_knot_passes_the_kauffman_checks(self):
+        # in word order the sweep reached 239,563 masks at crossing 13 of 61
+        w = random_knot(random.Random(11), 20, 61)
+        assert len(w) == 61 and w.is_connected
+        r = self.timed_verify(w)
+        assert all(r.checks[name] for name in KAUFFMAN_CHECKS)
+        assert r.kauffman_euler == r.burau_euler
+        # the chain's square search still runs out on this word: raising
+        # that ceiling is ROADMAP item 5
+        assert not r.checks["formula_matches_recursion"]
+        assert r.notes[0].startswith("skein recursion: no doubled crossing found within budget")
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"

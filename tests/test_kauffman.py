@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import pathlib
 import random
+import time
 from collections import Counter
 from functools import reduce
 from itertools import permutations
@@ -23,6 +24,7 @@ from braidhfk.kauffman import (
     build_diagram,
     counts_to_json,
     enumerate_states,
+    _sweep_plan,
     euler_and_top_slice,
     state_line,
 )
@@ -255,6 +257,109 @@ class TestTopSliceSweep:
         assert euler_and_top_slice(d, budget=16) == fold_and_top_slice(d)
         with pytest.raises(BudgetError, match=r"reached 16 masks at crossing 15 of 27 \(budget 15\)"):
             euler_and_top_slice(d, budget=15)
+
+
+def word_order(d):
+    return list(range(d.crossing_count))
+
+
+def column_order(d):
+    """Every s_1 in word order, then every s_2, and so on."""
+    letters = d.word.letters
+    return sorted(range(d.crossing_count), key=lambda k: (letters[k], k))
+
+
+def frontier_by_steps(d, order):
+    """Oracle: the most regions off the forbidden two touched both at or
+    before one step of ``order`` and at or after it, counted step by step."""
+    touched = [{r for _, r in d.slots[k]} - d.forbidden for k in order]
+    return max(
+        (len(set().union(*touched[:s + 1]) & set().union(*touched[s:])) for s in range(len(order))),
+        default=0,
+    )
+
+
+def planned_order(d):
+    """The order ``_sweep_plan`` visits the crossings in, read off its slots."""
+    allowed, _ = _sweep_plan(d)
+    for order in (word_order(d), column_order(d)):
+        if allowed == [[(r, q) for q, r in d.slots[k] if r not in d.forbidden] for k in order]:
+            return order
+    raise AssertionError(f"{d.word} is swept in neither order")
+
+
+CORPUS_KNOTS = [w for w in corpus(4, 10) if closure_components(w) == 1]
+ORDER_WORDS = (
+    CORPUS_KNOTS
+    + [torus(p, 2) for p in range(3, 16, 2)]
+    + [torus(3, 4), torus(4, 5), torus(5, 6), torus(5, 3)]
+)
+
+
+class TestSweepOrder:
+    def test_the_plan_takes_the_strictly_narrower_order(self):
+        for w in ORDER_WORDS:
+            d = build_diagram(w)
+            narrower = frontier_by_steps(d, column_order(d)) < frontier_by_steps(d, word_order(d))
+            assert planned_order(d) == (column_order(d) if narrower else word_order(d)), w
+        switched = sum(planned_order(d) != word_order(d) for d in map(build_diagram, CORPUS_KNOTS))
+        assert len(CORPUS_KNOTS) == 319 and switched == 39
+
+    def test_every_usable_region_retires_once_at_its_last_step(self):
+        for w in ORDER_WORDS:
+            d = build_diagram(w)
+            order = planned_order(d)
+            _, retiring = _sweep_plan(d)
+            last = {r: step for step, k in enumerate(order) for _, r in d.slots[k]}
+            expected = [0] * len(order)
+            for r in set(range(d.region_count)) - d.forbidden:
+                expected[last[r]] |= 1 << r
+            assert retiring == expected, w
+
+    @pytest.mark.parametrize("w, word_frontier, column_frontier", [
+        (torus(4, 3), 7, 7),  # a tie keeps word order
+        (torus(4, 5), 7, 11),
+        (torus(4, 9), 7, 19),
+        (torus(7, 2), 12, 5),
+        (torus(5, 3), 9, 7),
+    ])
+    def test_frontiers_of_the_pinned_words(self, w, word_frontier, column_frontier):
+        # the budget messages of T(4,3), T(4,5) and T(4,9) pinned in
+        # test_budget.py and test_cli.py count crossings in word order
+        d = build_diagram(w)
+        assert frontier_by_steps(d, word_order(d)) == word_frontier
+        assert frontier_by_steps(d, column_order(d)) == column_frontier
+        narrower = column_frontier < word_frontier
+        assert planned_order(d) == (column_order(d) if narrower else word_order(d))
+
+    def test_the_top_slice_sweep_reads_the_histogram_in_either_order(self):
+        for w in ORDER_WORDS:
+            d = build_diagram(w)
+            assert euler_and_top_slice(d) == fold_and_top_slice(d), w
+
+    def test_the_histogram_counts_the_listed_states_in_either_order(self):
+        listed = 0
+        for w in ORDER_WORDS:
+            d = build_diagram(w)
+            try:
+                states = listed_counts(d)
+            except BudgetError:
+                continue
+            assert bigraded_counts(d) == states, w
+            listed += 1
+        assert listed == len(ORDER_WORDS) - 4  # T(11,2), T(13,2), T(15,2), T(5,6)
+
+    # T(p,p+1) keeps word order and its peak live masks with it; T(7,2)
+    # and T(5,3) peaked at 301 and 44 masks in word order
+    @pytest.mark.parametrize("p, q, peak", [(7, 8, 353), (8, 9, 927), (9, 10, 2476), (7, 2, 4), (5, 3, 15)])
+    def test_peak_live_masks(self, p, q, peak):
+        d = build_diagram(torus(p, q))
+        start = time.perf_counter()
+        euler, top = euler_and_top_slice(d, budget=peak)
+        with pytest.raises(BudgetError, match=rf"reached {peak} masks at crossing"):
+            euler_and_top_slice(d, budget=peak - 1)
+        assert time.perf_counter() - start < 5
+        assert euler == torus_alexander(p, q) and top == {(0, (p - 1) * (q - 1) // 2): 1}
 
 
 class TestEngineIndependence:

@@ -11,7 +11,8 @@ behind its five structural checks hold.
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
 Euler characteristic of the Kauffman histogram must not change under any
-of them.
+of them.  Nor must all of ``verify``'s report but the word, under chains
+of these moves and positive Markov stabilisation.
 """
 
 from collections import Counter
@@ -373,6 +374,44 @@ def test_random_words_pass_verify(w):
     # every engine on one word, and every cross-check between them
     report = verify(w)
     assert report.overall_pass, report.render_text()
+
+
+def report_without_the_word(w):
+    """All of ``verify``'s report of ``w`` but the word itself."""
+    report = verify(w).to_json()
+    del report["word"]
+    return report
+
+
+def moved(w, data):
+    """``w`` after one move drawn from those that apply to it: rotation, far
+    commutation, the braid relation and positive Markov stabilisation."""
+    u, n = w.letters, w.strands
+    far = [j for j in range(len(u) - 1) if abs(u[j] - u[j + 1]) >= 2]
+    triples = [j for j in range(len(u) - 2) if u[j] == u[j + 2] and abs(u[j] - u[j + 1]) == 1]
+    move = data.draw(st.sampled_from(
+        ["rotation", "stabilisation"] + ["far commutation"] * bool(far) + ["braid relation"] * bool(triples)
+    ))
+    if move == "rotation":
+        return w.rotated(data.draw(st.integers(1, 11)))
+    if move == "stabilisation":
+        return BraidWord(n + 1, u + (n,))  # w s_n on n + 1 strands
+    if move == "far commutation":
+        j = data.draw(st.sampled_from(far))
+        return BraidWord(n, u[:j] + (u[j + 1], u[j]) + u[j + 2:])
+    j = data.draw(st.sampled_from(triples))
+    return BraidWord(n, u[:j] + (u[j + 1], u[j], u[j + 1]) + u[j + 3:])
+
+
+@PROPERTY
+@given(words(min_strands=1, max_len=10), st.data())
+def test_whole_reports_are_invariants_of_the_closure(w, data):
+    # stabilisation changes the strand count, the Kauffman diagram and the
+    # order its sweep takes, and the Burau matrix, while decompose undoes it
+    expected = report_without_the_word(w)
+    for _ in range(4):
+        w = moved(w, data)
+        assert report_without_the_word(w) == expected, w
 
 
 @PROPERTY
