@@ -30,8 +30,8 @@ from .braidword import (
 )
 from .hfk import (
     BigradedRank,
+    closed_form,
     next_to_top_via_skein,
-    predicted_next_to_top,
     predicted_top,
 )
 # bigraded_counts and enumerate_states, and the Seifert functions from_braid,
@@ -358,6 +358,13 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     each split piece closes to at least one component, and ``S >= 0``.  Only Burau's
     exactness checks raise ``ArithmeticError``.
 
+    ``euler_top_slice`` compares the coefficients of ``t^g`` and ``t^(g-1)`` in
+    ``euler_poly`` with those of the signed Euler characteristic of the predicted top and
+    next-to-top groups.  ``closed_form`` reads that pair off the two groups once per
+    ``(p, s, |L|, g)``, so a group that moves the Euler characteristic fails the check.
+    A group that gains equal ranks at Maslov 0 and -1 of ``A = g - 1`` keeps it, and
+    only ``formula_matches_recursion`` sees that.
+
     The Seifert surface of a braid closure has one disc per strand and one band per
     letter, so chi is ``n - len`` and the genus ``(mu - chi) / 2`` with mu from
     ``decompose``.  Five checks cannot fail:
@@ -427,7 +434,7 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
             checks["top_coefficient"] = not euler_poly
 
     pred_top = predicted_top(s, g)
-    pred_ntt = predicted_next_to_top(p, s, components, g)
+    pred_ntt, euler_at_g, euler_below_g = closed_form(p, s, components, g)
     skein_ntt: Optional[BigradedRank] = None
     try:
         skein_ntt = next_to_top_via_skein(w, budget)
@@ -445,8 +452,9 @@ def verify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> VerificationReport:
             checks["next_to_top_nonzero"] = pred_ntt.rank_at(-1, g - 1) >= 1
 
     if euler_poly is not None:
-        euler = (pred_top + pred_ntt).signed_euler()
-        checks["euler_top_slice"] = all(euler.coefficient(a) == euler_poly.coefficient(a) for a in (g, g - 1))
+        checks["euler_top_slice"] = (
+            euler_at_g == euler_poly.coefficient(g) and euler_below_g == euler_poly.coefficient(g - 1)
+        )
 
     if s == 1 and p >= 2 and burau_poly is not None:
         prod = HalfLaurent.one()

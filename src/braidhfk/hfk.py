@@ -176,31 +176,14 @@ V = BigradedRank({(0, 0): 1, (-1, 0): 1})
 # The formulas read only the decomposition counts, and a corpus of
 # thousands of words has a few dozen distinct counts, so each group is
 # built once per distinct input and kept in a table beside its function.
-# These two tables serve the formula route only; the recursion keeps its
-# own (``_skein_group_cache``), so no cross-check reads the other route's
-# values.
-
-#: ``predicted_next_to_top`` of each ``(p, s, components, g)``.
-_next_to_top_cache: dict[tuple[int, int, int, int], BigradedRank] = {}
-
-
-def predicted_next_to_top(p: int, s: int, components: int, g: int) -> BigradedRank:
-    """Closed-form next-to-top group from the decomposition counts.
-
-    Supported at ``A = g - 1`` with rank ``(p + components - s) * C(s-1, k)``
-    at Maslov ``-1 - k``.  Kept in ``_next_to_top_cache``.
-    """
-    key = (p, s, components, g)
-    if key not in _next_to_top_cache:
-        base = p + components - s
-        out: dict[tuple[int, int], int] = {}
-        for k in range(s):
-            r = base * comb(s - 1, k)
-            if r:
-                out[(-1 - k, g - 1)] = r
-        _next_to_top_cache[key] = BigradedRank(out)
-    return _next_to_top_cache[key]
-
+# The entry of ``(p, s, components, g)`` also holds the coefficients of
+# ``t^g`` and ``t^(g-1)`` in the signed Euler characteristic of the top
+# and next-to-top groups, which ``verify``'s ``euler_top_slice`` check
+# compares with the polynomial.  They are read off the groups the
+# formulas build, not from a closed form of their own, so a wrong group
+# still moves them.  These two tables serve the formula route only; the
+# recursion keeps its own (``_skein_group_cache``), so no cross-check
+# reads the other route's values.
 
 #: ``predicted_top`` of each ``(s, g)``.
 _top_cache: dict[tuple[int, int], BigradedRank] = {}
@@ -214,6 +197,45 @@ def predicted_top(s: int, g: int) -> BigradedRank:
     if key not in _top_cache:
         _top_cache[key] = BigradedRank({(0, g): 1}).tensor(V.tensor_power(s - 1))
     return _top_cache[key]
+
+
+#: ``closed_form`` of each ``(p, s, components, g)``.
+_next_to_top_cache: dict[tuple[int, int, int, int], tuple[BigradedRank, int, int]] = {}
+
+
+def _next_to_top_formula(p: int, s: int, components: int, g: int) -> BigradedRank:
+    """Rank ``(p + components - s) * C(s-1, k)`` at ``(-1 - k, g - 1)``."""
+    base = p + components - s
+    out: dict[tuple[int, int], int] = {}
+    for k in range(s):
+        r = base * comb(s - 1, k)
+        if r:
+            out[(-1 - k, g - 1)] = r
+    return BigradedRank(out)
+
+
+def closed_form(p: int, s: int, components: int, g: int) -> tuple[BigradedRank, int, int]:
+    """The next-to-top group of the closed formula, and the coefficients of
+    ``t^g`` and ``t^(g-1)`` in the signed Euler characteristic of
+    ``predicted_top(s, g)`` plus that group.
+
+    Built once per distinct input and kept in ``_next_to_top_cache``.
+    """
+    key = (p, s, components, g)
+    if key not in _next_to_top_cache:
+        group = _next_to_top_formula(p, s, components, g)
+        euler = (predicted_top(s, g) + group).signed_euler()
+        _next_to_top_cache[key] = (group, euler.coefficient(g), euler.coefficient(g - 1))
+    return _next_to_top_cache[key]
+
+
+def predicted_next_to_top(p: int, s: int, components: int, g: int) -> BigradedRank:
+    """Closed-form next-to-top group from the decomposition counts.
+
+    Supported at ``A = g - 1`` with rank ``(p + components - s) * C(s-1, k)``
+    at Maslov ``-1 - k``: the group of ``closed_form``'s entry.
+    """
+    return closed_form(p, s, components, g)[0]
 
 
 # --------------------------------------------------------------------------

@@ -228,19 +228,14 @@ def enumerate_states(
     return states
 
 
-def _frontier(allowed: list[list[tuple[int, str]]], order) -> int:
+def _frontier(first: list[int], last: list[int], steps: int) -> int:
     """The most regions touched both at or before one step and at or after
-    it, in a sweep that visits the crossings in ``order``."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for step, k in enumerate(order):
-        for r, _ in allowed[k]:
-            first.setdefault(r, step)
-            last[r] = step
-    change = [0] * (len(order) + 1)
-    for r, step in first.items():
-        change[step] += 1
-        change[last[r] + 1] -= 1
+    it, from each region's first and last step (last -1: never touched)."""
+    change = [0] * (steps + 1)
+    for f, l in zip(first, last):
+        if l >= 0:
+            change[f] += 1
+            change[l + 1] -= 1
     return max(accumulate(change))
 
 
@@ -253,8 +248,10 @@ def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], lis
     ``s_2`` and so on, when its frontier (``_frontier``) is strictly
     narrower than word order's, and word order otherwise, ties included.
     Only the regions of the frontier can be live between two steps, so
-    the table holds at most ``2^frontier`` masks.  When the letters never
-    decrease the two orders are one, and nothing is compared.
+    the table holds at most ``2^frontier`` masks.  One loop over the
+    slots finds each region's first and last step in both orders.  When
+    the letters never decrease the two orders are one, and nothing is
+    compared.
 
     Every region off the forbidden two touches some slot, so every bit
     retires: the gap ``c{i}.{j}`` is the OUT region of the crossing that
@@ -264,17 +261,31 @@ def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], lis
     """
     allowed = [[(r, q) for q, r in s if r not in d.forbidden] for s in d.slots]
     letters = d.word.letters
-    if any(a > b for a, b in zip(letters, letters[1:])):
-        by_column = sorted(range(len(letters)), key=letters.__getitem__)
-        if _frontier(allowed, by_column) < _frontier(allowed, range(len(letters))):
-            allowed = [allowed[k] for k in by_column]
-    last_touch: dict[int, int] = {}
-    for p, slots in enumerate(allowed):
+    c, regions = len(letters), d.region_count
+    by_column = sorted(range(c), key=letters.__getitem__)
+    column_step = [0] * c
+    for j, k in enumerate(by_column):
+        column_step[k] = j
+    first, last = [c] * regions, [-1] * regions
+    column_first, column_last = [c] * regions, [-1] * regions
+    for k, slots in enumerate(allowed):
+        j = column_step[k]
         for r, _ in slots:
-            last_touch[r] = p
-    retiring = [0] * d.crossing_count
-    for r, p in last_touch.items():
-        retiring[p] |= 1 << r
+            if last[r] < 0:
+                first[r] = k
+            last[r] = k
+            if j < column_first[r]:
+                column_first[r] = j
+            if j > column_last[r]:
+                column_last[r] = j
+    decreasing = any(a > b for a, b in zip(letters, letters[1:]))
+    if decreasing and _frontier(column_first, column_last, c) < _frontier(first, last, c):
+        allowed = [allowed[k] for k in by_column]
+        last = column_last
+    retiring = [0] * c
+    for r, p in enumerate(last):
+        if p >= 0:
+            retiring[p] |= 1 << r
     return allowed, retiring
 
 
@@ -334,11 +345,12 @@ def euler_and_top_slice(
     packed at digit ``cost - top * M``; costs only grow, so every other
     digit is masked off.  And the exact number of its partial states bounds
     every digit of both.  A mask whose packed values are both 0 is dropped.
-    The digit width doubles, and the table is repacked, once the live
-    state count times a crossing's slot count could outgrow it.  The
-    crossings are visited in the order of ``_sweep_plan``, column or
-    word order, whichever has the strictly narrower frontier (word order
-    on a tie), so at most ``2^frontier`` masks are ever live.
+    The digit width starts at 16 bits and doubles, and the table is
+    repacked, once the live state count times a crossing's slot count
+    could outgrow it.  The crossings are visited in the order of
+    ``_sweep_plan``, column or word order, whichever has the strictly
+    narrower frontier (word order on a tie), so at most ``2^frontier``
+    masks are ever live.
 
     Raises ``BudgetError`` once the live table holds more than
     ``budget`` masks.
@@ -355,7 +367,9 @@ def euler_and_top_slice(
         """All-ones digits on the slice's cells: the mask of the kept counts."""
         return sum((1 << bits) - 1 << bits * j for j in cells)
 
-    bits, total = 4, 1
+    # 16 bits hold every digit of the knots of corpus(4, 10), so their
+    # sweeps never pay for a repack, a pass that rebuilds the whole table
+    bits, total = 16, 1
     keep = ones(bits)
     table: dict[int, tuple[int, int, int]] = {0: (1, 1, 1)}
     for p, slots in enumerate(allowed):

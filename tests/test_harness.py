@@ -23,7 +23,7 @@ from braidhfk.braidword import (
     parse_serialized,
 )
 from braidhfk.alexander import alexander_burau, hfk_euler
-from braidhfk.hfk import next_to_top_via_skein, predicted_next_to_top
+from braidhfk.hfk import BigradedRank, next_to_top_via_skein, predicted_next_to_top
 from braidhfk.harness import (
     BadParamsError,
     UnknownFamilyError,
@@ -406,6 +406,40 @@ class TestVerify:
         assert payload["pass"] is True
         assert "elapsed" not in payload
         assert "elapsed" in verify(BraidWord(2, (1, 1))).to_json(include_timing=True)
+
+
+class TestEulerTopSlice:
+    # euler_top_slice compares two coefficients that hfk tables beside the
+    # next-to-top group: patching the group the formula builds must move them
+    KNOTS = [w for w in corpus(4, 8) if closure_components(w) == 1 and closure_genus(w) >= 1]
+
+    @staticmethod
+    def add_to_the_formula(monkeypatch, maslov_gradings):
+        from braidhfk import hfk
+
+        formula = hfk._next_to_top_formula
+
+        def patched(p, s, components, g):
+            extra = BigradedRank({(m, g - 1): 1 for m in maslov_gradings})
+            return formula(p, s, components, g) + extra
+
+        monkeypatch.setattr(hfk, "_next_to_top_formula", patched)
+
+    def test_a_rank_at_maslov_minus_1_fails_it_on_every_knot(self, monkeypatch):
+        self.add_to_the_formula(monkeypatch, (-1,))
+        assert len(self.KNOTS) == 51
+        for w in self.KNOTS:
+            checks = verify(w).checks
+            assert not checks["euler_top_slice"], w
+            assert not checks["formula_matches_recursion"], w
+
+    def test_equal_ranks_at_maslov_0_and_minus_1_keep_it(self, monkeypatch):
+        # the blind spot a Floer-complex check of the slice would close
+        self.add_to_the_formula(monkeypatch, (0, -1))
+        for w in self.KNOTS:
+            checks = verify(w).checks
+            assert checks["euler_top_slice"], w
+            assert not checks["formula_matches_recursion"], w
 
 
 KAUFFMAN_CHECKS = ("kauffman_matches", "kauffman_top_state_unique", "kauffman_maslov_band")

@@ -246,11 +246,30 @@ class TestTopSliceSweep:
 
     @pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (2, 2101), (3, 301)])
     def test_torus_knots_match_the_closed_form(self, p, q):
-        # the partial state counts of the last two outgrow several digit widths
+        # the partial state counts of T(3,301) outgrow five digit widths
         euler, top = euler_and_top_slice(build_diagram(torus(p, q)))
         g = (p - 1) * (q - 1) // 2
         assert euler == torus_alexander(p, q)
         assert top == {(0, g): 1}
+
+    def test_the_digit_width_repacks_only_past_the_corpus(self, monkeypatch):
+        # each decode of a signed or sliced value unpacks it once: a sweep
+        # that never repacks unpacks twice, at its final width
+        from braidhfk import kauffman
+
+        unpack, widths = kauffman._unpack, []
+
+        def counted(value, bits):
+            widths.append(bits)
+            return unpack(value, bits)
+
+        monkeypatch.setattr(kauffman, "_unpack", counted)
+        for w in CORPUS_KNOTS:
+            euler_and_top_slice(build_diagram(w))
+        assert widths == [16] * (2 * len(CORPUS_KNOTS))
+        widths.clear()
+        euler_and_top_slice(build_diagram(torus(3, 301)))
+        assert sorted(set(widths)) == [16, 32, 64, 128, 256, 512]
 
     def test_budget_counts_live_masks(self):
         d = build_diagram(torus(4, 9))

@@ -5,11 +5,17 @@ empties them in its ``clear_caches``.  The closed-form groups, the
 recursion's final group and ``hfk_euler``'s substitution are each built
 once per distinct input, so equal values are one object across reports:
 these tests check that no report can tell, and pin how many entries a
-cold pass over the acceptance corpus makes.
+cold pass over the acceptance corpus makes.  An entry of
+``hfk._next_to_top_cache`` is a triple: the next-to-top group and the
+coefficients of ``t^g`` and ``t^(g-1)`` in the signed Euler
+characteristic of the top group plus it, which ``verify`` compares with
+the polynomial.
 """
 
+import gc
 import importlib
 import pkgutil
+import tracemalloc
 
 import pytest
 
@@ -86,13 +92,15 @@ def test_shared_values_leave_every_report_unchanged():
         assert ConwayPoly(key).to_half_laurent() == value, key
     for (rank, g, pieces), value in hfk._skein_group_cache.items():
         assert BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(pieces - 1)) == value
-    formulas = [(hfk.predicted_top, dict(hfk._top_cache)), (hfk.predicted_next_to_top, dict(hfk._next_to_top_cache))]
+    tops, entries = dict(hfk._top_cache), dict(hfk._next_to_top_cache)
+    assert tops and entries
     hfk.clear_caches()
-    for formula, table in formulas:
-        assert table
-        for key, value in table.items():
-            fresh = formula(*key)
-            assert fresh == value and fresh is not value, (formula.__name__, key)
+    for key, value in tops.items():
+        fresh = hfk.predicted_top(*key)
+        assert fresh == value and fresh is not value, key
+    for key, value in entries.items():
+        fresh = hfk.closed_form(*key)
+        assert fresh == value and fresh[0] is not value[0], key
 
 
 def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
@@ -108,6 +116,35 @@ def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
     assert len({id(r.predicted_top) for r in reports}) == 19
     assert len({id(r.predicted_next_to_top) for r in reports}) == 63
     assert len({id(r.skein_next_to_top) for r in reports}) == 49
+    # a next-to-top entry holds its group and the Euler slice of both groups
+    for (p, s, components, g), (group, at_g, below_g) in hfk._next_to_top_cache.items():
+        assert group is hfk.predicted_next_to_top(p, s, components, g)
+        euler = (hfk.predicted_top(s, g) + group).signed_euler()
+        assert (at_g, below_g) == (euler.coefficient(g), euler.coefficient(g - 1))
+
+
+# bytes the module tables held after a cold pass over corpus(4, 10),
+# measured by tracemalloc as what clear_caches frees: 2,333,648 on
+# CPython 3.11
+TABLE_BYTES_BOUND = 2_600_000
+
+
+def test_a_cold_corpus_pass_leaves_the_tables_under_their_pinned_size():
+    words = corpus(4, 10)
+    found = tables_by_module()
+    tracemalloc.start()
+    try:
+        verify_all(words)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        assert all(all(tables.values()) for tables in found.values())
+        for module in found:
+            module.clear_caches()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < TABLE_BYTES_BOUND
 
 
 # each public method and property of the shared value types, with the
