@@ -53,8 +53,7 @@ from typing import Optional
 
 #: Default cap on any single search: the simple conjugates visited by
 #: ``find_adjacent_square``, the entries of each table of the skein Conway
-#: sweep, the live masks of the Kauffman top-slice sweep, the (mask,
-#: bigrading) entries of ``bigraded_counts`` and the search nodes of
+#: sweep, the live masks of the Kauffman sweep and the search nodes of
 #: ``enumerate_states``.  Past it every stage raises ``BudgetError``, except
 #: ``find_adjacent_square``, which returns None for the next-to-top chain
 #: to raise.

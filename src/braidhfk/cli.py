@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import harness
@@ -143,18 +144,19 @@ def _cmd_hfk(args) -> int:
 def _cmd_states(args) -> int:
     w = parse_serialized(args.word)
     d = build_diagram(w)
-    counts = bigraded_counts(d, args.budget)
     if args.json:
+        counts = bigraded_counts(d, args.budget)
         print(json.dumps({"word": w.to_json(), "histogram": counts_to_json(counts)}, sort_keys=True))
-    else:
-        try:
-            states = enumerate_states(d, args.budget)
-        except BudgetError as exc:
-            print(f"kauffman engine: {exc}", file=sys.stderr)
-            return 2
-        for s in states:
-            print(state_line(d, s))
-        print(f"{len(states)} states; histogram {counts_to_json(counts)}")
+        return 0
+    try:
+        states = enumerate_states(d, args.budget)
+    except BudgetError as exc:
+        print(f"kauffman engine: {exc}", file=sys.stderr)
+        return 2
+    for s in states:
+        print(state_line(d, s))
+    counts = Counter((s.maslov, s.alexander) for s in states)
+    print(f"{len(states)} states; histogram {counts_to_json(counts)}")
     return 0
 
 
@@ -228,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="doubled-crossing search budget (visited simple conjugates); "
                                 "also caps each table of the skein Conway sweep, "
-                                "the Kauffman sweep (live masks; live entries for states) "
+                                "the Kauffman sweep (live masks) "
                                 "and the states listing (backtracking nodes)")
 
     p = sub.add_parser("info", help="components, split/prime factors, genus")

@@ -30,7 +30,7 @@ IN -1/2, LEFT = RIGHT = 0; Maslov -1 on IN, 0 elsewhere.  The signed
 count ``sum (-1)^M t^A`` over all states recovers the graded Euler
 characteristic, making this the third, combinatorial, engine.
 
-Two sweeps over the crossings count states without listing one (the
+One sweep over the crossings counts states without listing one (the
 bordered picture of Ozsvath-Szabo, "Kauffman states, bordered algebras,
 and a bigraded knot invariant", Adv. Math. 2018).  A partial state is
 summarised by the set of still-open regions it has used, and the table
@@ -41,7 +41,7 @@ and at or after it.  The most such regions at any one step is the
 order's frontier, and the table never holds more than ``2^frontier``
 masks.
 
-The order of the steps is free, since both sweeps sum over all states.
+The order of the steps is free, since the sweep sums over all states.
 In word order every column's gap that wraps past the end of the word
 stays live from the first letter to the last, so the frontier is about
 ``2n`` on ``n`` strands however few letters each column has.  In column
@@ -53,20 +53,17 @@ masks in column order against 301 in word order, while T(p,p+1) keeps
 word order.  A budget message's "crossing k of c" counts the crossings
 swept, in the order taken.
 
-``euler_and_top_slice`` keeps only what ``verify`` reads: the signed sum
-(Kauffman, *Formal Knot Theory*, 1983) and the slice at ``A = g``.  A
-state's cost ``2 #IN + #LR`` is ``crossings - 2A``, and the slice holds
-the states of cost ``n - 1``.  Per mask it keeps the signed sum as one
-integer packed by cost, the counts of cost at most ``n - 1`` as a second,
-and the number of partial states, which sets the digit width.  Masks
-whose signed states cancel and that hold no state of the slice are
-dropped; its budget counts live masks.  ``bigraded_counts`` builds the
-whole (Maslov, Alexander) histogram, one histogram per mask under a
-budget of (mask, bigrading) entries; it serves ``states --json`` and is
-the top-slice sweep's oracle.  ``enumerate_states`` lists the states
-themselves, by backtracking under a budget of search nodes; it serves the
-``states`` text listing and the tests.  Past its budget each of the three
-raises ``BudgetError``.
+A state's cost ``2 #IN + #LR`` is ``crossings - 2A``.  ``_sweep`` keeps
+the signed sum (Kauffman, *Formal Knot Theory*, 1983) and the counts of
+the states of cost at most a cap, packed into integers per mask; its
+budget counts live masks.  ``euler_and_top_slice`` caps the cost at
+``strands - 1``, the cost at ``A = g``, and returns what ``verify``
+reads: the signed sum and the slice at ``A = g``.  ``bigraded_counts``
+caps it at ``2 * crossings``, which no state exceeds, and returns the
+whole (Maslov, Alexander) histogram for ``states --json``.
+``enumerate_states`` lists the states themselves, by backtracking under a
+budget of search nodes; it serves the ``states`` text listing and the
+tests.  Past its budget each raises ``BudgetError``.
 """
 
 from __future__ import annotations
@@ -241,10 +238,10 @@ def _frontier(first: list[int], last: list[int], steps: int) -> int:
 
 def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], list[int]]:
     """Each crossing's (region, quadrant) slots off the forbidden regions, in
-    the order the sweeps visit them, and the bits of the regions each
+    the order the sweep visits them, and the bits of the regions each
     touches last, which retire after it.
 
-    The sweeps take column order, every ``s_1`` in word order, then every
+    The sweep takes column order, every ``s_1`` in word order, then every
     ``s_2`` and so on, when its frontier (``_frontier``) is strictly
     narrower than word order's, and word order otherwise, ties included.
     Only the regions of the frontier can be live between two steps, so
@@ -257,7 +254,7 @@ def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], lis
     retires: the gap ``c{i}.{j}`` is the OUT region of the crossing that
     opens it, and the inner disk is LEFT of every ``s_1`` crossing.  (A
     diagram cut by hand to leave a region unreached has more crossings
-    than reachable regions, so the sweeps find no state in it.)
+    than reachable regions, so the sweep finds no state in it.)
     """
     allowed = [[(r, q) for q, r in s if r not in d.forbidden] for s in d.slots]
     letters = d.word.letters
@@ -289,86 +286,48 @@ def _sweep_plan(d: ClosedBraidDiagram) -> tuple[list[list[tuple[int, str]]], lis
     return allowed, retiring
 
 
-def bigraded_counts(
-    d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
-) -> dict[tuple[int, int], int]:
-    """Histogram of state bigradings (Maslov, Alexander) -> count, by the
+def _sweep(
+    d: ClosedBraidDiagram, cap: int, budget: int
+) -> tuple[HalfLaurent, dict[tuple[int, int], int]]:
+    """The signed state sum ``sum (-1)^M t^A`` and the (Maslov, Alexander)
+    histogram of the states of cost ``2 #IN + #LR`` at most ``cap``, by the
     frontier sweep of the module docstring.
 
-    Raises ``BudgetError`` once the live table holds more than
-    ``budget`` (mask, bigrading) entries.
-    """
-    require_budget(budget)
-    allowed, retiring = _sweep_plan(d)
-    table: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
-    for p, slots in enumerate(allowed):
-        done = retiring[p]
-        moves = [(1 << r, M_WEIGHTS[q], A_WEIGHTS_DOUBLED[q]) for r, q in slots]
-        nxt: dict[int, dict[tuple[int, int], int]] = {}
-        for mask, hist in table.items():
-            for bit, dm, da in moves:
-                if mask & bit:
-                    continue
-                after = mask | bit
-                if after & done != done:
-                    continue
-                out = nxt.setdefault(after ^ done, {})
-                for (m, a2), n in hist.items():
-                    key = (m + dm, a2 + da)
-                    out[key] = out.get(key, 0) + n
-        table = nxt
-        live = sum(map(len, table.values()))
-        if live > budget:
-            raise BudgetError(
-                f"state table reached {live} entries at crossing {p + 1}"
-                f" of {d.crossing_count} (budget {budget})"
-            )
-
-    counts: dict[tuple[int, int], int] = {}
-    for (m, a2), n in table.get(0, {}).items():
-        assert a2 % 2 == 0, "knot states have integral Alexander grading"
-        counts[(m, a2 // 2)] = n
-    return counts
-
-
-def euler_and_top_slice(
-    d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
-) -> tuple[HalfLaurent, dict[tuple[int, int], int]]:
-    """The signed state sum ``sum (-1)^M t^A`` and the histogram of the slice
-    at ``A = g``: all that ``verify`` reads, by the frontier sweep of the
-    module docstring with packed values in place of histograms.
-
     Each mask keeps three numbers.  Its partial states' signed sum is a
-    polynomial in ``u = t^(1/2)`` by cost ``2 #IN + #LR``, where ``2A =
-    crossings - cost``, packed at ``u = 2**bits``.  The unsigned counts of
-    those of cost at most ``top = strands - 1``, the cost at ``A = g``, are
-    packed at digit ``cost - top * M``; costs only grow, so every other
-    digit is masked off.  And the exact number of its partial states bounds
-    every digit of both.  A mask whose packed values are both 0 is dropped.
-    The digit width starts at 16 bits and doubles, and the table is
-    repacked, once the live state count times a crossing's slot count
-    could outgrow it.  The crossings are visited in the order of
-    ``_sweep_plan``, column or word order, whichever has the strictly
-    narrower frontier (word order on a tie), so at most ``2^frontier``
-    masks are ever live.
+    polynomial in ``u = t^(1/2)`` by cost, where ``2A = crossings - cost``,
+    packed at ``u = 2**bits``.  Their unsigned counts of cost at most
+    ``cap`` are packed in rows by ``#IN = -M``, with digit ``#LR`` in the
+    row; costs only grow, so every digit past the cap is masked off.  And
+    the exact number of its partial states bounds every digit of both.  A
+    mask whose packed values are both 0 is dropped.  The digit width
+    starts at 16 bits and doubles, and the table is repacked, once the
+    live state count times a crossing's slot count could outgrow it.  The
+    crossings are visited in the order of ``_sweep_plan``, column or word
+    order, whichever has the strictly narrower frontier (word order on a
+    tie), so at most ``2^frontier`` masks are ever live.
 
     Raises ``BudgetError`` once the live table holds more than
     ``budget`` masks.
     """
     require_budget(budget)
     allowed, retiring = _sweep_plan(d)
-    c, top = d.crossing_count, d.word.strands - 1
-    # the slice's cells: cost 2i..top at -M = i.  Only IN raises -M, so a
-    # move from a kept cell lands at most at cost top + 1 in its own row,
-    # digit top * i + top + 1, below row i + 1's first, (top + 2)(i + 1)
-    cells = [cost + top * i for i in range(top // 2 + 1) for cost in range(2 * i, top + 1)]
+    c = d.crossing_count
+    # #LR is at most c, and at most 1 on two strands, where LEFT is the
+    # inner disk and RIGHT the forbidden outer region.  A row is two digits
+    # wider than the most #LR it keeps, so a move from a kept cell lands
+    # at most one digit past it, below the next row
+    lr_max = min(cap, 1 if d.word.strands == 2 else c)
+    width = lr_max + 2
+    kept = [min(cap - 2 * i, lr_max) + 1 for i in range(cap // 2 + 1)]
 
     def ones(bits: int) -> int:
-        """All-ones digits on the slice's cells: the mask of the kept counts."""
-        return sum((1 << bits) - 1 << bits * j for j in cells)
+        """All-ones digits on the kept cells: the mask of the kept counts."""
+        one, zero = b"\xff" * (bits // 8), bytes(bits // 8)
+        return int.from_bytes(b"".join(one * k + zero * (width - k) for k in kept), "little")
 
-    # 16 bits hold every digit of the knots of corpus(4, 10), so their
-    # sweeps never pay for a repack, a pass that rebuilds the whole table
+    # 16 bits hold every digit of the top slices of the knots of
+    # corpus(4, 10), so their sweeps never pay for a repack, a pass that
+    # rebuilds the whole table
     bits, total = 16, 1
     keep = ones(bits)
     table: dict[int, tuple[int, int, int]] = {0: (1, 1, 1)}
@@ -386,7 +345,7 @@ def euler_and_top_slice(
         moves = []
         for r, q in slots:
             cost, in_count = 1 - A_WEIGHTS_DOUBLED[q], -M_WEIGHTS[q]
-            moves.append((1 << r, cost * bits, in_count % 2, (cost + top * in_count) * bits))
+            moves.append((1 << r, cost * bits, in_count % 2, (cost + lr_max * in_count) * bits))
         nxt: dict[int, list[int]] = {}
         for mask, (signed, sliced, k) in table.items():
             for bit, shift, negate, slice_shift in moves:
@@ -422,13 +381,44 @@ def euler_and_top_slice(
         if v:
             assert (c - cost) % 2 == 0, "knot states have integral Alexander grading"
             euler[c - cost] = v
-    digits = _unpack(sliced, bits)
-    top_slice = {}
-    for i in range(top // 2 + 1):
-        j = top + top * i
-        if j < len(digits) and digits[j]:
-            top_slice[(-i, (c - top) // 2)] = digits[j]
-    return HalfLaurent(euler), top_slice
+    counts = {}
+    for j, v in enumerate(_unpack(sliced, bits)):
+        if v:
+            in_count, lr = divmod(j, width)
+            cost = 2 * in_count + lr
+            assert (c - cost) % 2 == 0, "knot states have integral Alexander grading"
+            counts[(-in_count, (c - cost) // 2)] = v
+    return HalfLaurent(euler), counts
+
+
+def bigraded_counts(
+    d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
+) -> dict[tuple[int, int], int]:
+    """Histogram of state bigradings (Maslov, Alexander) -> count: ``_sweep``
+    with its cap at ``2 * crossings``, a cost no state exceeds, so nothing
+    is masked off.
+
+    Raises ``BudgetError`` once the live table holds more than
+    ``budget`` masks.
+    """
+    return _sweep(d, 2 * d.crossing_count, budget)[1]
+
+
+def euler_and_top_slice(
+    d: ClosedBraidDiagram, budget: int = DEFAULT_BUDGET
+) -> tuple[HalfLaurent, dict[tuple[int, int], int]]:
+    """The signed state sum ``sum (-1)^M t^A`` and the histogram of the slice
+    at ``A = g``: all that ``verify`` reads.  ``_sweep`` keeps the states of
+    cost at most ``strands - 1``, the cost at ``A = g``, and the slice is
+    those of that cost.
+
+    Raises ``BudgetError`` once the live table holds more than
+    ``budget`` masks.
+    """
+    top = d.word.strands - 1
+    euler, counts = _sweep(d, top, budget)
+    g = (d.crossing_count - top) // 2
+    return euler, {(m, a): k for (m, a), k in counts.items() if a == g}
 
 
 def state_line(d: ClosedBraidDiagram, s: KauffmanState) -> str:

@@ -37,7 +37,7 @@ SIMPLE = "strands=5: 1 2 3 2 4"  # a simple braid whose square search visits 3 c
     (lambda: enumerate_states(build_diagram(torus(4, 3)), 10),
      "state listing reached 11 backtracking nodes (budget 10)"),
     (lambda: bigraded_counts(build_diagram(torus(4, 3)), 2),
-     "state table reached 4 entries at crossing 1 of 9 (budget 2)"),
+     "state table reached 4 masks at crossing 1 of 9 (budget 2)"),
     (lambda: euler_and_top_slice(build_diagram(torus(4, 3)), 10),
      "state table reached 14 masks at crossing 3 of 9 (budget 10)"),
 ], ids=["conway", "next_to_top_via_skein", "enumerate_states", "bigraded_counts", "euler_and_top_slice"])

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import pathlib
 import random
+import sys
 import time
 from collections import Counter
 from functools import reduce
@@ -12,7 +13,7 @@ from math import prod
 import pytest
 
 from braidhfk.alexander import hfk_euler
-from braidhfk.braidword import BraidWord, BudgetError, closure_components, closure_genus
+from braidhfk.braidword import BraidWord, BudgetError, closure_components, closure_genus, parse_serialized
 from braidhfk.harness import connected_sum, corpus, figure3, t2, torus
 from braidhfk.hfk import BigradedRank
 from braidhfk.kauffman import (
@@ -30,6 +31,8 @@ from braidhfk.kauffman import (
 )
 from braidhfk.polynomials import HalfLaurent
 from diagram_oracle import reference_diagram
+from histogram_oracle import sweep_histogram
+from test_harness import CEILING_WALL_S, load_perfbench
 
 
 def brute_force_states(d):
@@ -205,14 +208,45 @@ class TestSweep:
 
     def test_budget_caps_the_live_table(self):
         d = build_diagram(torus(4, 9))
-        with pytest.raises(BudgetError, match="budget 100"):
-            bigraded_counts(d, budget=100)
-        assert sum(bigraded_counts(d).values()) == 632025
+        assert sum(bigraded_counts(d, budget=20).values()) == 632025
+        with pytest.raises(BudgetError, match=r"^state table reached 20 masks at crossing 7 of 27 \(budget 19\)$"):
+            bigraded_counts(d, budget=19)
+
+    @staticmethod
+    def states_workload_knots(monkeypatch):
+        # the knots of perfbench's states workload, listed as its run builds them
+        monkeypatch.setitem(sys.modules, "worker", load_perfbench("worker"))
+        monkeypatch.setitem(sys.modules, "oracle", load_perfbench("oracle"))
+        keys, _ = load_perfbench("run").workload("states", 7)
+        return [parse_serialized(key) for key in keys]
+
+    def test_matches_the_histogram_oracle(self, monkeypatch):
+        past = [torus(5, 6), torus(6, 7), torus(3, 52), torus(4, 41), t2(901)]
+        for w in past:
+            with pytest.raises(BudgetError):
+                enumerate_states(build_diagram(w))
+        knots = past + self.states_workload_knots(monkeypatch)
+        assert len(knots) == 17
+        for w in knots:
+            d = build_diagram(w)
+            assert bigraded_counts(d) == sweep_histogram(d), w
+
+    def test_t8_9_passes_the_default_budget(self):
+        # a table of one histogram per mask holds 214,157 (mask, bigrading)
+        # entries by crossing 50 of 63, past the default budget in that unit
+        start = time.perf_counter()
+        counts = bigraded_counts(build_diagram(torus(8, 9)))
+        assert time.perf_counter() - start < CEILING_WALL_S
+        assert sum(counts.values()) == 763_341_471_963_225
+        assert BigradedRank(counts).signed_euler() == torus_alexander(8, 9)
+        assert {(m, a): k for (m, a), k in counts.items() if a == 28} == {(0, 28): 1}
+        # c_(-1) = p - 1 and c_0 = p - 2 at A = g - 1
+        assert {(m, a): k for (m, a), k in counts.items() if a == 27} == {(0, 27): 6, (-1, 27): 7}
 
 
 def fold_and_top_slice(d):
     """Oracle: the signed fold of the histogram and its slice at A = g."""
-    counts = bigraded_counts(d)
+    counts = sweep_histogram(d)
     g = closure_genus(d.word)
     top = {(m, a): k for (m, a), k in counts.items() if a == g}
     return BigradedRank(counts).signed_euler(), top
