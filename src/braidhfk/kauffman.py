@@ -297,7 +297,8 @@ def _sweep(
     polynomial in ``u = t^(1/2)`` by cost, where ``2A = crossings - cost``,
     packed at ``u = 2**bits``.  Their unsigned counts of cost at most
     ``cap`` are packed in rows by ``#IN = -M``, with digit ``#LR`` in the
-    row; costs only grow, so every digit past the cap is masked off.  And
+    row; costs only grow, so every digit past the cap is masked off, unless
+    the cap is ``2 * crossings``, past which no digit lies.  And
     the exact number of its partial states bounds every digit of both.  A
     mask whose packed values are both 0 is dropped.  The digit width
     starts at 16 bits and doubles, and the table is repacked, once the
@@ -318,6 +319,9 @@ def _sweep(
     # at most one digit past it, below the next row
     lr_max = min(cap, 1 if d.word.strands == 2 else c)
     width = lr_max + 2
+    # no state costs more than 2c or has more than lr_max LEFT/RIGHT
+    # quadrants, so at that cap nothing lies past a kept cell to cut
+    cut = cap < 2 * c
     kept = [min(cap - 2 * i, lr_max) + 1 for i in range(cap // 2 + 1)]
 
     def ones(bits: int) -> int:
@@ -365,7 +369,8 @@ def _sweep(
         table = {}
         total = 0
         for mask, (signed, sliced, k) in nxt.items():
-            sliced &= keep
+            if cut:
+                sliced &= keep
             if signed or sliced:
                 table[mask] = (signed, sliced, k)
                 total += k

@@ -2,11 +2,11 @@
 words, the doubled-crossing search returns squares of the move orbit and
 misses no pair the gap check sees, the next-to-top chain stays on
 connected words and ends on its length, the Kauffman sweep counts what the
-enumerator lists and the top-slice sweep reads the same histogram, the
-Hecke sweep agrees with the skein tree, Burau decodes every determinant
-at the width its norm bound gives, the engines obey the connected-sum
-and disjoint-union laws, random words pass ``verify``, and the facts
-behind its five structural checks hold.
+enumerator lists and the top-slice sweep reads the reference sweep's
+histogram, the Hecke sweep agrees with the skein tree, Burau decodes
+every determinant at the width its norm bound gives, the engines obey
+the connected-sum and disjoint-union laws, random words pass ``verify``,
+and the facts behind its five structural checks hold.
 
 Rotation, far commutation and the braid relation preserve the closure,
 so ``alexander_burau``, ``conway``, ``next_to_top_via_skein`` and the
@@ -39,6 +39,7 @@ from braidhfk.kauffman import bigraded_counts, build_diagram, enumerate_states, 
 from braidhfk.polynomials import HalfLaurent, _pack, _unpack
 from braidhfk.seifert import fibered_positive, from_braid
 from burau_oracle import burau_by_lists
+from histogram_oracle import sweep_histogram
 from skein_tree_oracle import conway_by_skein_tree
 from square_oracle import (
     ALL_MOVES,
@@ -286,7 +287,7 @@ def test_kauffman_sweep_counts_the_listed_states(w):
 @given(knot_words(max_strands=7, max_len=40))
 def test_the_top_slice_sweep_reads_the_histogram(w):
     d = build_diagram(w)
-    counts = bigraded_counts(d)
+    counts = sweep_histogram(d)
     g = closure_genus(w)
     top = {(m, a): k for (m, a), k in counts.items() if a == g}
     assert euler_and_top_slice(d) == (BigradedRank(counts).signed_euler(), top)

@@ -2,10 +2,11 @@
 
 Each module keeps its tables as module-level dicts named ``*_cache`` and
 empties them in its ``clear_caches``.  The closed-form groups, the
-recursion's final group and ``hfk_euler``'s substitution are each built
-once per distinct input, so equal values are one object across reports:
-these tests check that no report can tell, and pin how many entries a
-cold pass over the acceptance corpus makes.  An entry of
+recursion's final group, ``hfk_euler``'s substitution and the division
+that ends ``alexander_burau`` are each built once per distinct input, so
+equal values are one object across reports: these tests check that no
+report can tell, and pin how many entries a cold pass over the
+acceptance corpus makes.  An entry of
 ``hfk._next_to_top_cache`` is a triple: the next-to-top group and the
 coefficients of ``t^g`` and ``t^(g-1)`` in the signed Euler
 characteristic of the top group plus it, which ``verify`` compares with
@@ -24,7 +25,7 @@ from braidhfk import alexander, hfk
 from braidhfk.braidword import BraidWord
 from braidhfk.harness import corpus, verify, verify_all
 from braidhfk.hfk import BigradedRank, V
-from braidhfk.polynomials import ConwayPoly, HalfLaurent
+from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
 
 # words of corpus(4, 10): a composite knot (three trefoils), a split link
 # (trefoil and T(2,4)), a prime link of three components and a prime knot
@@ -38,6 +39,7 @@ SAMPLE = [
 # the tables of the constructions that repeat across words
 SHARED = {
     "alexander._euler_cache": alexander._euler_cache,
+    "alexander._tail_cache": alexander._tail_cache,
     "hfk._top_cache": hfk._top_cache,
     "hfk._next_to_top_cache": hfk._next_to_top_cache,
     "hfk._skein_group_cache": hfk._skein_group_cache,
@@ -93,8 +95,12 @@ def test_shared_values_leave_every_report_unchanged():
     for (rank, g, pieces), value in hfk._skein_group_cache.items():
         assert BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(pieces - 1)) == value
     tops, entries = dict(hfk._top_cache), dict(hfk._next_to_top_cache)
-    assert tops and entries
-    hfk.clear_caches()
+    tails = dict(alexander._tail_cache)
+    assert tops and entries and tails
+    clear_all()
+    for key, value in tails.items():
+        fresh = alexander._burau_tail(key)
+        assert fresh == value and fresh is not value, key
     for key, value in tops.items():
         fresh = hfk.predicted_top(*key)
         assert fresh == value and fresh is not value, key
@@ -107,12 +113,14 @@ def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
     reports = verify_all(corpus(4, 10))
     assert {name: len(table) for name, table in SHARED.items()} == {
         "alexander._euler_cache": 56,
+        "alexander._tail_cache": 69,
         "hfk._top_cache": 19,
         "hfk._next_to_top_cache": 63,
         "hfk._skein_group_cache": 49,
     }
     # equal values are one object across the 2,749 reports
     assert len({id(r.skein_euler) for r in reports}) == 56
+    assert len({id(r.burau_euler) for r in reports}) == 54
     assert len({id(r.predicted_top) for r in reports}) == 19
     assert len({id(r.predicted_next_to_top) for r in reports}) == 63
     assert len({id(r.skein_next_to_top) for r in reports}) == 49
@@ -123,10 +131,19 @@ def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
         assert (at_g, below_g) == (euler.coefficient(g), euler.coefficient(g - 1))
 
 
+def test_a_tail_that_leaves_a_remainder_is_checked_on_every_call(monkeypatch):
+    w = BraidWord(2, (1, 1, 1))
+    monkeypatch.setattr(alexander, "_bareiss_det", lambda rows: 1)
+    for _ in range(2):
+        with pytest.raises(InexactDivisionError, match="nonzero remainder"):
+            alexander.alexander_burau(w)
+        assert not alexander._tail_cache and not alexander._burau_cache
+
+
 # bytes the module tables held after a cold pass over corpus(4, 10),
-# measured by tracemalloc as what clear_caches frees: 2,333,648 on
+# measured by tracemalloc as what clear_caches frees: 1,318,384 on
 # CPython 3.11
-TABLE_BYTES_BOUND = 2_600_000
+TABLE_BYTES_BOUND = 1_450_000
 
 
 def test_a_cold_corpus_pass_leaves_the_tables_under_their_pinned_size():
