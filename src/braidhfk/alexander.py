@@ -40,18 +40,18 @@ strand count and never consults the skein route or ``decompose``.
 The same small prime factors, and the same polynomials, recur across the
 words of a corpus, so each engine keeps tables of its own results,
 beside the functions they serve.  The skein route keeps two:
-``_conway_cache`` holds the polynomial of each prime factor swept, keyed
-by ``(budget, strands, letters)``, and ``_euler_cache`` the result of
-``hfk_euler`` for each shifted Conway polynomial, keyed by its
-coefficients.  Burau keeps two: ``_burau_cache`` holds the result of
-``alexander_burau`` for each word, keyed by ``(strands, letters)``, and
-``_tail_cache`` the division and normalisation that follow each
-determinant, keyed by ``(strands, components, digits)``.  There is at
-most one entry per distinct factor, polynomial, word or determinant, so
-the tables grow linearly in the input; ``clear_caches`` empties all
-four.  No table of one engine reads the other's, and none keeps a
-failure, so whether a call raises ``BudgetError`` never depends on what
-ran before it.
+``_conway_cache``, a dict, holds the polynomial of each prime factor
+swept, keyed by ``(budget, strands, letters)``, and ``_substitute``
+turns each shifted Conway polynomial into ``hfk_euler``'s result.  Burau
+keeps two: ``alexander_burau`` itself, for each word, and
+``_burau_tail``, the division and normalisation that follow each
+determinant.  The last three are ``functools.cache``d, so each reports
+its hits and misses through ``cache_info()``.  There is at most one
+entry per distinct factor, polynomial, word or determinant, so the
+tables grow linearly in the input; ``clear_caches`` empties all four.
+No table of one engine reads the other's, and none keeps a failure, so
+whether a call raises ``BudgetError`` never depends on what ran before
+it.
 
 Both are normalised to the same graded Euler characteristic: the result
 of ``hfk_euler`` equals ``sum_(m,a) (-1)^m rank_m(L, a) t^a`` over the
@@ -67,6 +67,7 @@ and Burau multiplies by ``(t - 1)^(components - 1)`` and centres.
 
 from __future__ import annotations
 
+from functools import cache
 from math import ceil, isqrt, log2, prod, sqrt
 from operator import itemgetter
 
@@ -199,10 +200,6 @@ def conway(w: BraidWord, budget: int = DEFAULT_BUDGET) -> ConwayPoly:
     return result
 
 
-#: ``hfk_euler``'s substitution of each shifted Conway polynomial, by its coefficients.
-_euler_cache: dict[tuple[int, ...], HalfLaurent] = {}
-
-
 def hfk_euler(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:
     """Graded Euler characteristic of the closure's knot Floer homology.
 
@@ -211,16 +208,19 @@ def hfk_euler(w: BraidWord, budget: int = DEFAULT_BUDGET) -> HalfLaurent:
     with coefficient +1 at ``t^genus`` for non-split closures.  The factor
     is ``z^(|L|-1)`` before the substitution, so it is a shift of the
     Conway coefficients.
-
-    Many words share one shifted polynomial, so the substitution of each
-    is kept in ``_euler_cache``, keyed by the shifted coefficients, and
-    equal results are one object.  A ``conway`` failure raises before the
-    table is read, so the table holds only successes.
     """
-    shifted = (0,) * (closure_components(w) - 1) + conway(w, budget).coefficients
-    if shifted not in _euler_cache:
-        _euler_cache[shifted] = ConwayPoly(shifted).to_half_laurent()
-    return _euler_cache[shifted]
+    return _substitute((0,) * (closure_components(w) - 1) + conway(w, budget).coefficients)
+
+
+@cache
+def _substitute(shifted: tuple[int, ...]) -> HalfLaurent:
+    """``z -> t^(1/2) - t^(-1/2)`` in the shifted Conway coefficients.
+
+    Many words share one shifted polynomial, so equal results are one
+    object.  A ``conway`` failure raises before this is called, so the
+    cache holds only successes.
+    """
+    return ConwayPoly(shifted).to_half_laurent()
 
 
 # --------------------------------------------------------------------------
@@ -259,27 +259,22 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * prev
 
 
-#: Widest decode, in bits per digit, at which ``_burau_euler`` builds the
+#: Widest decode, in bits per digit, at which ``alexander_burau`` builds the
 #: matrix at the decode width instead of unpacking and repacking it.
 _DIRECT_BITS = 64
 
-#: Graded Euler characteristic of each word evaluated, by ``(strands, letters)``.
-_burau_cache: dict[tuple[int, tuple[int, ...]], HalfLaurent] = {}
-
-#: ``_burau_tail`` of each determinant, by ``(strands, components, digits)``.
-_tail_cache: dict[tuple[int, int, tuple[int, ...]], HalfLaurent] = {}
-
-#: The one zero ``_burau_euler`` returns.
+#: The one zero ``alexander_burau`` returns.
 _ZERO = HalfLaurent.zero()
 
 
 def clear_caches() -> None:
     _conway_cache.clear()
-    _euler_cache.clear()
-    _burau_cache.clear()
-    _tail_cache.clear()
+    _substitute.cache_clear()
+    alexander_burau.cache_clear()
+    _burau_tail.cache_clear()
 
 
+@cache
 def alexander_burau(w: BraidWord) -> HalfLaurent:
     """Graded Euler characteristic via the reduced Burau representation.
 
@@ -332,23 +327,14 @@ def alexander_burau(w: BraidWord) -> HalfLaurent:
     us direct; T(12,13) at 395 bits: 1.5 against 154 ms).  The selector
     sits at 64 bits, below that crossover.
 
-    Results are kept in ``_burau_cache``, whether the word is checked whole
-    or as a prime factor of another.  The table holds one entry per
-    distinct word, so its memory grows linearly with the words seen.  An
-    ``ArithmeticError`` is never kept.  What follows the determinant is
-    kept apart in ``_tail_cache`` (see ``_burau_tail``), since far fewer
-    determinants than words occur: a cold pass over the benchmark's
-    ``corpus`` words runs it 81 times for 2,535 connected words.  Zero
-    results are one shared object.
+    Results are cached, whether the word is checked whole or as a prime
+    factor of another.  The cache holds one entry per distinct word, so its
+    memory grows linearly with the words seen.  An ``ArithmeticError`` is
+    never kept.  What follows the determinant is cached apart in
+    ``_burau_tail``, since far fewer determinants than words occur: a cold
+    pass over the benchmark's ``corpus`` words runs it 81 times for 2,535
+    connected words.  Zero results are one shared object.
     """
-    key = (w.strands, w.letters)
-    if key not in _burau_cache:
-        _burau_cache[key] = _burau_euler(w)
-    return _burau_cache[key]
-
-
-def _burau_euler(w: BraidWord) -> HalfLaurent:
-    """``alexander_burau`` of ``w``, computed afresh."""
     n = w.strands
     if not w.is_connected:
         return _ZERO  # an unused generator leaves a zero column in M - I
@@ -372,20 +358,17 @@ def _burau_euler(w: BraidWord) -> HalfLaurent:
     det = _bareiss_det(rows)
     if not det:
         return _ZERO
-    return _burau_tail((n, closure_components(w), tuple(_unpack(det, bits))))
+    return _burau_tail(n, closure_components(w), tuple(_unpack(det, bits)))
 
 
-def _burau_tail(key: tuple[int, int, tuple[int, ...]]) -> HalfLaurent:
-    """The determinant's digits, by ``(strands, components, digits)``,
-    times ``(t - 1)^|L|``, divided by ``t^n - 1``, centred and signed.
+@cache
+def _burau_tail(n: int, components: int, b: tuple[int, ...]) -> HalfLaurent:
+    """The determinant's digits ``b`` on ``n`` strands, times
+    ``(t - 1)^components``, divided by ``t^n - 1``, centred and signed.
 
-    Thousands of words share a few determinants, so each result is kept in
-    ``_tail_cache`` and equal results are one object.  A division that
-    raises ``InexactDivisionError`` is never kept.
+    Thousands of words share a few determinants, so equal results are one
+    object.  A division that raises ``InexactDivisionError`` is never kept.
     """
-    if key in _tail_cache:
-        return _tail_cache[key]
-    n, components, b = key
     for _ in range(components):
         b = [x - y for x, y in zip((0, *b), (*b, 0))]
     q = [0] * n  # q[n + k] is q_k, after n zeros for q_(-n) .. q_(-1)
@@ -400,5 +383,4 @@ def _burau_tail(key: tuple[int, int, tuple[int, ...]]) -> HalfLaurent:
     if body != body[::-1]:
         raise InexactDivisionError("normalized polynomial is not palindromic")
     sign = 1 if quotient[hi] > 0 else -1
-    _tail_cache[key] = HalfLaurent({2 * k - lo - hi: sign * v for k, v in enumerate(quotient) if v})
-    return _tail_cache[key]
+    return HalfLaurent({2 * k - lo - hi: sign * v for k, v in enumerate(quotient) if v})

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import harness
 from .alexander import alexander_burau, hfk_euler
-from .braidword import BudgetError, DEFAULT_BUDGET, closure_genus, decompose, parse_serialized
+from .braidword import BudgetError, DEFAULT_BUDGET, closure_genus, decompose, parse_serialized, require_budget
 from .hfk import next_to_top_via_skein, predicted_next_to_top, predicted_top, rn_next_to_top
 from .kauffman import (
     MultiComponentError,
@@ -76,7 +76,9 @@ _ENGINE_FAILURES = {"skein": BudgetError, "burau": ArithmeticError, "kauffman": 
 def _cmd_alexander(args) -> int:
     """One engine, or all three side by side.  Under ``all`` an engine that
     fails as ``verify`` notes, or Kauffman on a link, shows no value, and
-    ``agree`` compares the values shown; a single engine that fails exits 2."""
+    ``agree`` compares the values shown; a single engine that fails exits 2.
+    A non-positive budget exits 2 whichever engines run, Burau included."""
+    require_budget(args.budget)
     w = parse_serialized(args.word)
     methods = list(_ENGINE_FAILURES) if args.method == "all" else [args.method]
     values: dict[str, Optional[HalfLaurent]] = {}

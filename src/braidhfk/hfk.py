@@ -55,6 +55,7 @@ of Hopf links: each unknot past the (2,4) torus link adds 1.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from operator import index
 from typing import Mapping
@@ -175,32 +176,21 @@ V = BigradedRank({(0, 0): 1, (-1, 0): 1})
 #
 # The formulas read only the decomposition counts, and a corpus of
 # thousands of words has a few dozen distinct counts, so each group is
-# built once per distinct input and kept in a table beside its function.
-# The entry of ``(p, s, components, g)`` also holds the coefficients of
-# ``t^g`` and ``t^(g-1)`` in the signed Euler characteristic of the top
-# and next-to-top groups, which ``verify``'s ``euler_top_slice`` check
-# compares with the polynomial.  They are read off the groups the
-# formulas build, not from a closed form of their own, so a wrong group
-# still moves them.  These two tables serve the formula route only; the
-# recursion keeps its own (``_skein_group_cache``), so no cross-check
-# reads the other route's values.
+# built once per distinct input by a ``functools.cache``d function.
+# ``closed_form`` of ``(p, s, components, g)`` also returns the
+# coefficients of ``t^g`` and ``t^(g-1)`` in the signed Euler
+# characteristic of the top and next-to-top groups, which ``verify``'s
+# ``euler_top_slice`` check compares with the polynomial.  They are read
+# off the groups the formulas build, not from a closed form of their own,
+# so a wrong group still moves them.  These two caches serve the formula
+# route only; the recursion keeps its own (``_skein_group``), so no
+# cross-check reads the other route's values.
 
-#: ``predicted_top`` of each ``(s, g)``.
-_top_cache: dict[tuple[int, int], BigradedRank] = {}
-
-
+@cache
 def predicted_top(s: int, g: int) -> BigradedRank:
     """Top group: ``F[0]`` at ``A = g`` for non-split closures, and the
-    tensor of the pieces' tops with ``V^(x)(s-1)`` otherwise.  Kept in
-    ``_top_cache``."""
-    key = (s, g)
-    if key not in _top_cache:
-        _top_cache[key] = BigradedRank({(0, g): 1}).tensor(V.tensor_power(s - 1))
-    return _top_cache[key]
-
-
-#: ``closed_form`` of each ``(p, s, components, g)``.
-_next_to_top_cache: dict[tuple[int, int, int, int], tuple[BigradedRank, int, int]] = {}
+    tensor of the pieces' tops with ``V^(x)(s-1)`` otherwise."""
+    return BigradedRank({(0, g): 1}).tensor(V.tensor_power(s - 1))
 
 
 def _next_to_top_formula(p: int, s: int, components: int, g: int) -> BigradedRank:
@@ -214,26 +204,22 @@ def _next_to_top_formula(p: int, s: int, components: int, g: int) -> BigradedRan
     return BigradedRank(out)
 
 
+@cache
 def closed_form(p: int, s: int, components: int, g: int) -> tuple[BigradedRank, int, int]:
     """The next-to-top group of the closed formula, and the coefficients of
     ``t^g`` and ``t^(g-1)`` in the signed Euler characteristic of
-    ``predicted_top(s, g)`` plus that group.
-
-    Built once per distinct input and kept in ``_next_to_top_cache``.
+    ``predicted_top(s, g)`` plus that group.  Built once per distinct input.
     """
-    key = (p, s, components, g)
-    if key not in _next_to_top_cache:
-        group = _next_to_top_formula(p, s, components, g)
-        euler = (predicted_top(s, g) + group).signed_euler()
-        _next_to_top_cache[key] = (group, euler.coefficient(g), euler.coefficient(g - 1))
-    return _next_to_top_cache[key]
+    group = _next_to_top_formula(p, s, components, g)
+    euler = (predicted_top(s, g) + group).signed_euler()
+    return group, euler.coefficient(g), euler.coefficient(g - 1)
 
 
 def predicted_next_to_top(p: int, s: int, components: int, g: int) -> BigradedRank:
     """Closed-form next-to-top group from the decomposition counts.
 
     Supported at ``A = g - 1`` with rank ``(p + components - s) * C(s-1, k)``
-    at Maslov ``-1 - k``: the group of ``closed_form``'s entry.
+    at Maslov ``-1 - k``: the group ``closed_form`` returns.
     """
     return closed_form(p, s, components, g)[0]
 
@@ -245,15 +231,12 @@ def predicted_next_to_top(p: int, s: int, components: int, g: int) -> BigradedRa
 #: Split steps from each chain word down, by ``(budget, strands, letters)``.
 _profile_cache: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
-#: The recursion's group for each ``(rank, g, pieces)``.
-_skein_group_cache: dict[tuple[int, int, int], BigradedRank] = {}
-
 
 def clear_caches() -> None:
-    _next_to_top_cache.clear()
-    _top_cache.clear()
+    predicted_top.cache_clear()
+    closed_form.cache_clear()
     _profile_cache.clear()
-    _skein_group_cache.clear()
+    _skein_group.cache_clear()
 
 
 def _split_steps(u: BraidWord, budget: int) -> int:
@@ -298,19 +281,20 @@ def next_to_top_via_skein(w: BraidWord, budget: int = DEFAULT_BUDGET) -> Bigrade
     any wrong cut with the formula, and ``formula_matches_recursion``
     would still agree.  Each piece contributes ``mu - 1 + S``.
 
-    The group is built once per ``(rank, g, pieces)`` and kept in
-    ``_skein_group_cache``; a chain that raises ``BudgetError`` leaves no
-    entry.
+    The group is built once per ``(rank, g, pieces)`` by ``_skein_group``;
+    a chain that raises ``BudgetError`` leaves no entry.
     """
     require_budget(budget)
     g = closure_genus(w)
     pieces = split_pieces(w)
     splits = sum(_split_steps(piece, budget) for piece in pieces)
-    rank = closure_components(w) - len(pieces) + splits
-    key = (rank, g, len(pieces))
-    if key not in _skein_group_cache:
-        _skein_group_cache[key] = BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(len(pieces) - 1))
-    return _skein_group_cache[key]
+    return _skein_group(closure_components(w) - len(pieces) + splits, g, len(pieces))
+
+
+@cache
+def _skein_group(rank: int, g: int, pieces: int) -> BigradedRank:
+    """``rank`` at ``(-1, g - 1)``, tensored with ``V^(x)(pieces-1)``."""
+    return BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(pieces - 1))
 
 
 # --------------------------------------------------------------------------

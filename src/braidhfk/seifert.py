@@ -50,12 +50,9 @@ def from_braid(w: BraidWord) -> SeifertMultigraph:
 
 
 def reduced(g: SeifertMultigraph) -> SeifertMultigraph:
-    """Identify parallel edges; vertex set unchanged."""
-    seen: list[tuple[int, int]] = []
-    for e in g.edges:
-        if e not in seen:
-            seen.append(e)
-    return SeifertMultigraph(g.vertex_count, tuple(seen))
+    """Identify parallel edges, keeping the first of each in order; vertex
+    set unchanged."""
+    return SeifertMultigraph(g.vertex_count, tuple(dict.fromkeys(g.edges)))
 
 
 def fibered_positive(g: SeifertMultigraph) -> bool:

@@ -305,7 +305,7 @@ class TestBurau:
         with pytest.raises(InexactDivisionError, match="nonzero remainder"):
             alexander_burau(BraidWord(2, (1, 1, 1)))
         # a failure is not tabled, so the next call computes afresh
-        assert alexander._burau_cache == {}
+        assert alexander_burau.cache_info().currsize == 0
         monkeypatch.undo()
         assert alexander_burau(BraidWord(2, (1, 1, 1))) == torus_alexander_oracle(2, 3)
 
@@ -371,10 +371,13 @@ class TestBurau:
 
         monkeypatch.setattr(alexander, "_pack", counting(_pack))
         monkeypatch.setattr(alexander, "_bareiss_det", counting(_bareiss_det))
-        verify_all(corpus(4, 10))
-        connected = [key for key in alexander._burau_cache if len(set(key[1])) == key[0] - 1]
+        words = corpus(4, 10)
+        verify_all(words)
+        # each distinct word evaluated is one miss; all but the split corpus
+        # words run the elimination (a prime factor is never split)
+        split = sum(not w.is_connected for w in set(words))
         assert calls["_pack"] == 0
-        assert calls["_bareiss_det"] == len(connected) == 2523
+        assert calls["_bareiss_det"] == alexander_burau.cache_info().misses - split == 2523
         for w in (torus(12, 13), BraidWord(30, tuple(range(1, 30)) + tuple(range(29, 0, -1)))):
             calls.clear()
             alexander_burau(w)

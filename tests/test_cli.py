@@ -87,6 +87,14 @@ class TestAlexander:
         assert code == 0
         assert "t - 2 + t^-1" in out
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_a_non_positive_budget_exits_2_under_every_method(self, capsys, budget):
+        # Burau reads no budget, but the command rejects a bad one all the same
+        for method in ("burau", "skein", "kauffman", "all"):
+            code, out, err = run(capsys, "alexander", "1^3", "--method", method, "--budget", budget)
+            assert (code, out) == (2, "")
+            assert "budget must be positive" in err
+
 
 class TestHfk:
     def test_match_reported(self, capsys):

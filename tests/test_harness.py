@@ -366,15 +366,21 @@ class TestVerify:
 
     def test_reports_deterministic(self):
         # the second pass runs on the tables the first filled: it finds
-        # every factor and word there and adds no entry
-        from braidhfk import alexander
+        # every factor, word and value there and adds no entry or miss
+        from braidhfk import alexander, hfk
 
+        cached = (
+            alexander._substitute, alexander.alexander_burau, alexander._burau_tail,
+            hfk.predicted_top, hfk.closed_form, hfk._skein_group,
+        )
         words = corpus(3, 5)
         first = reports_to_json(verify_all(words))
-        tables = (dict(alexander._conway_cache), dict(alexander._burau_cache))
-        assert all(tables)
+        conway_table = dict(alexander._conway_cache)
+        misses = [f.cache_info().misses for f in cached]
+        assert conway_table and all(misses)
         second = reports_to_json(verify_all(words))
-        assert (alexander._conway_cache, alexander._burau_cache) == tables
+        assert alexander._conway_cache == conway_table
+        assert [f.cache_info().misses for f in cached] == misses
         assert first == second
 
     def test_random_sums_and_unions(self):

@@ -1,16 +1,17 @@
 """The keyed tables of ``braidhfk`` and the values they share.
 
-Each module keeps its tables as module-level dicts named ``*_cache`` and
-empties them in its ``clear_caches``.  The closed-form groups, the
+A module keeps a table either as a module-level dict named ``*_cache``,
+whose key carries a budget, or as a ``functools.cache``d function, and
+empties each in its ``clear_caches``.  The closed-form groups, the
 recursion's final group, ``hfk_euler``'s substitution and the division
 that ends ``alexander_burau`` are each built once per distinct input, so
 equal values are one object across reports: these tests check that no
-report can tell, and pin how many entries a cold pass over the
-acceptance corpus makes.  An entry of
-``hfk._next_to_top_cache`` is a triple: the next-to-top group and the
-coefficients of ``t^g`` and ``t^(g-1)`` in the signed Euler
-characteristic of the top group plus it, which ``verify`` compares with
-the polynomial.
+report can tell, rebuild each value through ``__wrapped__``, and pin
+through ``cache_info()`` how many entries a cold pass over the
+acceptance corpus makes.  ``hfk.closed_form`` returns a triple: the
+next-to-top group and the coefficients of ``t^g`` and ``t^(g-1)`` in the
+signed Euler characteristic of the top group plus it, which ``verify``
+compares with the polynomial.
 """
 
 import gc
@@ -22,10 +23,11 @@ import pytest
 
 import braidhfk
 from braidhfk import alexander, hfk
-from braidhfk.braidword import BraidWord
+from braidhfk.alexander import conway
+from braidhfk.braidword import BraidWord, split_pieces
 from braidhfk.harness import corpus, verify, verify_all
 from braidhfk.hfk import BigradedRank, V
-from braidhfk.polynomials import ConwayPoly, HalfLaurent, InexactDivisionError
+from braidhfk.polynomials import HalfLaurent, InexactDivisionError
 
 # words of corpus(4, 10): a composite knot (three trefoils), a split link
 # (trefoil and T(2,4)), a prime link of three components and a prime knot
@@ -36,13 +38,13 @@ SAMPLE = [
     BraidWord(4, (1, 1, 2, 1, 2, 3, 2, 3, 3)),
 ]
 
-# the tables of the constructions that repeat across words
+# the cached functions of the constructions that repeat across words
 SHARED = {
-    "alexander._euler_cache": alexander._euler_cache,
-    "alexander._tail_cache": alexander._tail_cache,
-    "hfk._top_cache": hfk._top_cache,
-    "hfk._next_to_top_cache": hfk._next_to_top_cache,
-    "hfk._skein_group_cache": hfk._skein_group_cache,
+    "alexander._substitute": alexander._substitute,
+    "alexander._burau_tail": alexander._burau_tail,
+    "hfk.predicted_top": hfk.predicted_top,
+    "hfk.closed_form": hfk.closed_form,
+    "hfk._skein_group": hfk._skein_group,
 }
 
 
@@ -51,16 +53,23 @@ def clear_all():
     hfk.clear_caches()
 
 
+def entries(table):
+    """Entries of a dict table or of a ``functools.cache``d function."""
+    return table.cache_info().currsize if hasattr(table, "cache_clear") else len(table)
+
+
 def tables_by_module():
     """Each ``braidhfk`` module that has them, with its module-level dicts
-    whose names end in ``_cache``."""
+    whose names end in ``_cache`` and the objects it defines that have
+    ``cache_clear``."""
     found = {}
     for info in pkgutil.iter_modules(braidhfk.__path__):
         module = importlib.import_module(f"braidhfk.{info.name}")
         tables = {
             name: value
             for name, value in vars(module).items()
-            if name.endswith("_cache") and isinstance(value, dict)
+            if (name.endswith("_cache") and isinstance(value, dict))
+            or (hasattr(value, "cache_clear") and value.__module__ == module.__name__)
         }
         if tables:
             found[module] = tables
@@ -71,14 +80,14 @@ def test_clear_caches_empties_every_table():
     verify_all(SAMPLE + corpus(3, 5))
     found = tables_by_module()
     names = {f"{m.__name__.removeprefix('braidhfk.')}.{name}" for m, tables in found.items() for name in tables}
-    assert names >= set(SHARED) | {"alexander._conway_cache", "alexander._burau_cache", "hfk._profile_cache"}
+    assert names >= set(SHARED) | {"alexander._conway_cache", "alexander.alexander_burau", "hfk._profile_cache"}
     for module, tables in found.items():
-        assert all(tables.values()), module.__name__
+        assert all(map(entries, tables.values())), module.__name__
         module.clear_caches()
-        assert not any(tables.values()), module.__name__
+        assert not any(map(entries, tables.values())), module.__name__
 
 
-def test_shared_values_leave_every_report_unchanged():
+def test_shared_values_leave_every_report_unchanged(monkeypatch):
     words = corpus(4, 10)
     assert all(w in words for w in SAMPLE)
     cold = []
@@ -86,37 +95,34 @@ def test_shared_values_leave_every_report_unchanged():
         clear_all()
         cold.append(verify(w).to_json())
     clear_all()
-    verify_all(words)
+    reports = verify_all(words)
     assert [verify(w).to_json() for w in SAMPLE] == cold
 
-    # every entry equals the value built afresh from its key
-    for key, value in alexander._euler_cache.items():
-        assert ConwayPoly(key).to_half_laurent() == value, key
-    for (rank, g, pieces), value in hfk._skein_group_cache.items():
-        assert BigradedRank({(-1, g - 1): rank}).tensor(V.tensor_power(pieces - 1)) == value
-    tops, entries = dict(hfk._top_cache), dict(hfk._next_to_top_cache)
-    tails = dict(alexander._tail_cache)
-    assert tops and entries and tails
-    clear_all()
-    for key, value in tails.items():
-        fresh = alexander._burau_tail(key)
-        assert fresh == value and fresh is not value, key
-    for key, value in tops.items():
-        fresh = hfk.predicted_top(*key)
-        assert fresh == value and fresh is not value, key
-    for key, value in entries.items():
-        fresh = hfk.closed_form(*key)
-        assert fresh == value and fresh[0] is not value[0], key
+    # every shared value equals the one built afresh, through __wrapped__,
+    # from its report's inputs; the one zero Burau returns is shared by design
+    monkeypatch.setattr(alexander, "_burau_tail", alexander._burau_tail.__wrapped__)
+    for r in reports:
+        w, p, s, g = r.word, r.prime_count, r.split_count, r.genus
+        euler = alexander._substitute.__wrapped__((0,) * (r.components - 1) + conway(w).coefficients)
+        assert euler == r.skein_euler and euler is not r.skein_euler, w
+        burau = alexander.alexander_burau.__wrapped__(w)
+        assert burau == r.burau_euler and (burau is not r.burau_euler or not burau), w
+        top = hfk.predicted_top.__wrapped__(s, g)
+        assert top == r.predicted_top and top is not r.predicted_top, w
+        entry = hfk.closed_form.__wrapped__(p, s, r.components, g)
+        assert entry == hfk.closed_form(p, s, r.components, g) and entry[0] is not r.predicted_next_to_top, w
+        group = hfk._skein_group.__wrapped__(r.skein_next_to_top.rank_at(-1, g - 1), g, len(split_pieces(w)))
+        assert group == r.skein_next_to_top and group is not r.skein_next_to_top, w
 
 
 def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
     reports = verify_all(corpus(4, 10))
-    assert {name: len(table) for name, table in SHARED.items()} == {
-        "alexander._euler_cache": 56,
-        "alexander._tail_cache": 69,
-        "hfk._top_cache": 19,
-        "hfk._next_to_top_cache": 63,
-        "hfk._skein_group_cache": 49,
+    assert {name: f.cache_info().currsize for name, f in SHARED.items()} == {
+        "alexander._substitute": 56,
+        "alexander._burau_tail": 69,
+        "hfk.predicted_top": 19,
+        "hfk.closed_form": 63,
+        "hfk._skein_group": 49,
     }
     # equal values are one object across the 2,749 reports
     assert len({id(r.skein_euler) for r in reports}) == 56
@@ -124,9 +130,11 @@ def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
     assert len({id(r.predicted_top) for r in reports}) == 19
     assert len({id(r.predicted_next_to_top) for r in reports}) == 63
     assert len({id(r.skein_next_to_top) for r in reports}) == 49
-    # a next-to-top entry holds its group and the Euler slice of both groups
-    for (p, s, components, g), (group, at_g, below_g) in hfk._next_to_top_cache.items():
-        assert group is hfk.predicted_next_to_top(p, s, components, g)
+    # closed_form returns its group and the Euler slice of both groups
+    for r in reports:
+        p, s, g = r.prime_count, r.split_count, r.genus
+        group, at_g, below_g = hfk.closed_form(p, s, r.components, g)
+        assert group is hfk.predicted_next_to_top(p, s, r.components, g) is r.predicted_next_to_top
         euler = (hfk.predicted_top(s, g) + group).signed_euler()
         assert (at_g, below_g) == (euler.coefficient(g), euler.coefficient(g - 1))
 
@@ -134,15 +142,16 @@ def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
 def test_a_tail_that_leaves_a_remainder_is_checked_on_every_call(monkeypatch):
     w = BraidWord(2, (1, 1, 1))
     monkeypatch.setattr(alexander, "_bareiss_det", lambda rows: 1)
-    for _ in range(2):
+    for calls in (1, 2):
         with pytest.raises(InexactDivisionError, match="nonzero remainder"):
             alexander.alexander_burau(w)
-        assert not alexander._tail_cache and not alexander._burau_cache
+        assert alexander._burau_tail.cache_info().misses == calls
+        assert entries(alexander._burau_tail) == entries(alexander.alexander_burau) == 0
 
 
 # bytes the module tables held after a cold pass over corpus(4, 10),
-# measured by tracemalloc as what clear_caches frees: 1,318,384 on
-# CPython 3.11
+# measured by tracemalloc as what clear_caches frees: 1,067,840 on
+# CPython 3.11.7
 TABLE_BYTES_BOUND = 1_450_000
 
 
@@ -154,7 +163,7 @@ def test_a_cold_corpus_pass_leaves_the_tables_under_their_pinned_size():
         verify_all(words)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        assert all(all(tables.values()) for tables in found.values())
+        assert all(all(map(entries, tables.values())) for tables in found.values())
         for module in found:
             module.clear_caches()
         gc.collect()
