@@ -24,7 +24,7 @@ import pytest
 import braidhfk
 from braidhfk import alexander, hfk
 from braidhfk.alexander import conway
-from braidhfk.braidword import BraidWord, split_pieces
+from braidhfk.braidword import BraidWord, decompose, split_pieces
 from braidhfk.harness import corpus, verify, verify_all
 from braidhfk.hfk import BigradedRank, V
 from braidhfk.polynomials import HalfLaurent, InexactDivisionError
@@ -99,20 +99,35 @@ def test_shared_values_leave_every_report_unchanged(monkeypatch):
     assert [verify(w).to_json() for w in SAMPLE] == cold
 
     # every shared value equals the one built afresh, through __wrapped__,
-    # from its report's inputs; the one zero Burau returns is shared by design
-    monkeypatch.setattr(alexander, "_burau_tail", alexander._burau_tail.__wrapped__)
+    # from its report's inputs and, for Burau, the prime factors verify
+    # multiplies; the one zero Burau returns is shared by design
+    tail, rebuilt = alexander._burau_tail, {}
+
+    def fresh_tail(*key):
+        rebuilt[key] = tail.__wrapped__(*key)
+        return rebuilt[key]
+
+    monkeypatch.setattr(alexander, "_burau_tail", fresh_tail)
     for r in reports:
         w, p, s, g = r.word, r.prime_count, r.split_count, r.genus
         euler = alexander._substitute.__wrapped__((0,) * (r.components - 1) + conway(w).coefficients)
         assert euler == r.skein_euler and euler is not r.skein_euler, w
         burau = alexander.alexander_burau.__wrapped__(w)
         assert burau == r.burau_euler and (burau is not r.burau_euler or not burau), w
+        for f in decompose(w).prime_words if s == 1 and p >= 2 else ():
+            burau = alexander.alexander_burau.__wrapped__(f)
+            assert burau == alexander.alexander_burau(f) and burau is not alexander.alexander_burau(f), f
         top = hfk.predicted_top.__wrapped__(s, g)
         assert top == r.predicted_top and top is not r.predicted_top, w
         entry = hfk.closed_form.__wrapped__(p, s, r.components, g)
         assert entry == hfk.closed_form(p, s, r.components, g) and entry[0] is not r.predicted_next_to_top, w
         group = hfk._skein_group.__wrapped__(r.skein_next_to_top.rank_at(-1, g - 1), g, len(split_pieces(w)))
         assert group == r.skein_next_to_top and group is not r.skein_next_to_top, w
+    # those rebuilds reached every entry of the tail's cache, and no other key
+    assert len(rebuilt) == tail.cache_info().currsize == 69
+    for key, fresh in rebuilt.items():
+        assert fresh == tail(*key) and fresh is not tail(*key), key
+    assert tail.cache_info().currsize == 69
 
 
 def test_a_cold_corpus_pass_builds_each_value_once_per_distinct_input():
