@@ -184,6 +184,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    require_budget(args.budget)
     words = harness.corpus(args.strands, args.len)
     if not args.verify:
         if args.json:

@@ -72,67 +72,44 @@ from .braidword import (
     require_budget,
     split_pieces,
 )
-from .polynomials import HalfLaurent
+from .polynomials import HalfLaurent, _SparseMap
 
 
 class NegativeRankError(ArithmeticError):
     """A rank passed to ``BigradedRank`` is negative."""
 
 
-class BigradedRank:
+class BigradedRank(_SparseMap):
     """Finitely supported map ``(maslov, alexander) -> positive rank``.
 
-    No public method changes a value once built, so the tables below hand
-    one object to every caller.  Gradings and ranks are read with
-    ``operator.index``: a bool becomes an int, and any other non-integer
-    raises ``TypeError``.
+    An immutable sparse map on the core it shares with ``HalfLaurent``, so
+    the tables below hand one object to every caller.  Both gradings are
+    read with ``operator.index``, and a negative rank raises
+    ``NegativeRankError``.
     """
 
-    __slots__ = ("_r",)
+    __slots__ = ()
 
     def __init__(self, ranks: Mapping[tuple[int, int], int] | None = None):
-        self._r: dict[tuple[int, int], int] = {}
-        if ranks:
-            for (m, a), v in ranks.items():
-                m, a, v = index(m), index(a), index(v)
-                if v < 0:
-                    raise NegativeRankError(f"rank {v} at ({m},{a})")
-                if v:
-                    self._r[(m, a)] = v
+        super().__init__(ranks)
+        for (m, a), v in self._c.items():
+            if v < 0:
+                raise NegativeRankError(f"rank {v} at ({m},{a})")
 
-    @classmethod
-    def zero(cls) -> "BigradedRank":
-        return cls()
+    @staticmethod
+    def _key(key: tuple[int, int]) -> tuple[int, int]:
+        m, a = key
+        return index(m), index(a)
 
     @classmethod
     def unit(cls) -> "BigradedRank":
         return cls({(0, 0): 1})
 
-    def __bool__(self) -> bool:
-        return bool(self._r)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BigradedRank) and self._r == other._r
-
-    def __hash__(self):
-        return hash(frozenset(self._r.items()))
-
     def rank_at(self, m: int, a: int) -> int:
-        return self._r.get((m, a), 0)
-
-    def __add__(self, other: "BigradedRank") -> "BigradedRank":
-        out = dict(self._r)
-        for k, v in other._r.items():
-            out[k] = out.get(k, 0) + v
-        return BigradedRank(out)
+        return self._c.get((m, a), 0)
 
     def tensor(self, other: "BigradedRank") -> "BigradedRank":
-        out: dict[tuple[int, int], int] = {}
-        for (m1, a1), v1 in self._r.items():
-            for (m2, a2), v2 in other._r.items():
-                k = (m1 + m2, a1 + a2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return BigradedRank(out)
+        return self._convolve(other, lambda x, y: (x[0] + y[0], x[1] + y[1]))
 
     def tensor_power(self, n: int) -> "BigradedRank":
         acc = BigradedRank.unit()
@@ -143,25 +120,17 @@ class BigradedRank:
     def signed_euler(self) -> HalfLaurent:
         """``sum (-1)^m rank t^a`` as a Laurent polynomial."""
         return HalfLaurent.from_pairs(
-            (2 * a, v if m % 2 == 0 else -v) for (m, a), v in self._r.items()
+            (2 * a, v if m % 2 == 0 else -v) for (m, a), v in self._c.items()
         )
 
     def to_triples(self) -> list[list[int]]:
         """JSON form: ``[maslov, alexander, rank]`` sorted by (A desc, M desc)."""
-        keys = sorted(self._r, key=lambda k: (-k[1], -k[0]))
-        return [[m, a, self._r[(m, a)]] for m, a in keys]
+        keys = sorted(self._c, key=lambda k: (-k[1], -k[0]))
+        return [[m, a, self._c[(m, a)]] for m, a in keys]
 
     def __str__(self) -> str:
-        if not self._r:
-            return "0"
-        parts = []
-        for m, a, r in self.to_triples():
-            head = "F" if r == 1 else f"F^{r}"
-            parts.append(f"{head}[{m},{a}]")
-        return " ⊕ ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"BigradedRank({self._r!r})"
+        parts = [("F" if r == 1 else f"F^{r}") + f"[{m},{a}]" for m, a, r in self.to_triples()]
+        return " ⊕ ".join(parts) or "0"
 
 
 #: Rank pattern of the positive Hopf link.

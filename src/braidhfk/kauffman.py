@@ -71,7 +71,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import accumulate
 
-from .braidword import BraidWord, BudgetError, DEFAULT_BUDGET, closure_components, require_budget
+from .braidword import BraidWord, BudgetError, DEFAULT_BUDGET, closure_components, closure_genus, require_budget
 from .polynomials import HalfLaurent, _pack, _unpack
 
 OUT = "OUT"
@@ -420,9 +420,8 @@ def euler_and_top_slice(
     Raises ``BudgetError`` once the live table holds more than
     ``budget`` masks.
     """
-    top = d.word.strands - 1
-    euler, counts = _sweep(d, top, budget)
-    g = (d.crossing_count - top) // 2
+    euler, counts = _sweep(d, d.word.strands - 1, budget)
+    g = closure_genus(d.word)
     return euler, {(m, a): k for (m, a), k in counts.items() if a == g}
 
 

@@ -1,18 +1,23 @@
 """Exact integer Laurent polynomials in ``t^(1/2)`` and Conway polynomials in ``z``.
 
-Half-integer exponents are stored doubled, so ``t^(k/2)`` lives at key
-``k`` and all arithmetic stays in plain integers.  ``ConwayPoly`` is a
-dense coefficient list in ``z``; substituting ``z -> t^(1/2) - t^(-1/2)``
-turns it into a ``HalfLaurent``.  ``_pack`` and ``_unpack`` write a
-polynomial as one integer, its value at ``2**bits``, and read it back as
-balanced digits; the sweeps and the Burau engine keep their values so.
+``HalfLaurent`` and ``hfk.BigradedRank`` are immutable sparse maps on one
+core, ``_SparseMap``: a dict of nonzero integers, a sum and a convolution
+product.  Half-integer exponents are stored doubled, so ``t^(k/2)`` lives
+at key ``k`` and all arithmetic stays in plain integers.  ``ConwayPoly`` is
+a dense coefficient tuple in ``z``, kept apart from the core because the
+Conway table holds a thousand of them and a tuple is the smaller value;
+substituting ``z -> t^(1/2) - t^(-1/2)`` turns it into a ``HalfLaurent``.
+Both polynomials print through ``_join_terms``.  ``_pack`` and ``_unpack``
+write a polynomial as one integer, its value at ``2**bits``, and read it
+back as balanced digits; the sweeps and the Burau engine keep their values
+so.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from operator import index
-from typing import Iterable, Mapping
+from operator import add, index
+from typing import Callable, Iterable, Mapping
 
 
 class InexactDivisionError(ArithmeticError):
@@ -63,39 +68,98 @@ def _unpack(value: int, bits: int) -> list[int]:
     return digits
 
 
-def _join_terms(parts: list[tuple[str, str]]) -> str:
-    """``(sign, body)`` terms, highest first, as ``body - body + body``; no terms is ``0``."""
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    head = "-" + first_body if first_sign == "-" else first_body
-    return head + "".join(f" {sign} {body}" for sign, body in parts[1:])
+def _join_terms(terms: Iterable[tuple[int, int]], power: Callable[[int], str]) -> str:
+    """``(exponent, coefficient)`` pairs, highest first, as ``3 t^2 - t + 1``.
+
+    ``power`` names the power of each nonzero exponent; zero coefficients
+    are skipped, and no terms is ``0``.
+    """
+    out = ""
+    for e, v in terms:
+        if v:
+            mag = abs(v)
+            body = str(mag) if e == 0 else power(e) if mag == 1 else f"{mag} {power(e)}"
+            sign = "-" if v < 0 else "+"
+            out += f" {sign} {body}" if out else body if v > 0 else f"-{body}"
+    return out or "0"
 
 
-class HalfLaurent:
-    """Finitely supported map from doubled exponents to integer coefficients.
+class _SparseMap:
+    """Finitely supported map from keys to nonzero integers, the core of
+    ``HalfLaurent`` and ``BigradedRank``.
 
     No public method changes a value once built, so a table may hand one
-    object to every caller.  Exponents and coefficients are read with
+    object to every caller.  Keys are read with ``_key`` and values with
     ``operator.index``: a bool becomes an int, and any other non-integer
-    raises ``TypeError``.
+    raises ``TypeError``.  Zeros are dropped, and a value equals only
+    values of its own type.
     """
 
     __slots__ = ("_c",)
+    _key = staticmethod(index)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._c: dict[int, int] = {}
+    def __init__(self, coeffs: Mapping | None = None):
+        c, key = {}, self._key
         if coeffs:
             for k, v in coeffs.items():
-                k, v = index(k), index(v)
+                k, v = key(k), index(v)
                 if v:
-                    self._c[k] = v
-
-    # -- constructors ------------------------------------------------------
+                    c[k] = v
+        self._c = c
 
     @classmethod
-    def zero(cls) -> "HalfLaurent":
+    def _of(cls, c: dict):
+        """Wrap a dict that already holds no zero."""
+        r = cls.__new__(cls)
+        r._c = c
+        return r
+
+    @classmethod
+    def zero(cls):
         return cls()
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._c == other._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def __add__(self, other):
+        out = dict(self._c)
+        for k, v in other._c.items():
+            s = out.get(k, 0) + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._of(out)
+
+    def _convolve(self, other, plus):
+        """The product whose term ``k1, k2`` lands at ``plus(k1, k2)``."""
+        out: dict = {}
+        for k1, v1 in self._c.items():
+            for k2, v2 in other._c.items():
+                k = plus(k1, k2)
+                s = out.get(k, 0) + v1 * v2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return self._of(out)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._c!r})"
+
+
+class HalfLaurent(_SparseMap):
+    """Finitely supported map from doubled exponents to integer coefficients."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls) -> "HalfLaurent":
@@ -115,54 +179,18 @@ class HalfLaurent:
 
     # -- ring operations ---------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HalfLaurent) and self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
-        out = dict(self._c)
-        for k, v in other._c.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = HalfLaurent()
-        r._c = out
-        return r
-
     def __neg__(self) -> "HalfLaurent":
-        r = HalfLaurent()
-        r._c = {k: -v for k, v in self._c.items()}
-        return r
+        return self._of({k: -v for k, v in self._c.items()})
 
     def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
         return self + (-other)
 
     def __mul__(self, other: "HalfLaurent") -> "HalfLaurent":
-        out: dict[int, int] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        r = HalfLaurent()
-        r._c = out
-        return r
+        return self._convolve(other, add)
 
     def shifted(self, doubled_exp: int) -> "HalfLaurent":
         """Multiply by the monomial ``t^(doubled_exp/2)``."""
-        r = HalfLaurent()
-        r._c = {k + doubled_exp: v for k, v in self._c.items()}
-        return r
+        return self._of({k + doubled_exp: v for k, v in self._c.items()})
 
     # -- inspection --------------------------------------------------------
 
@@ -194,22 +222,8 @@ class HalfLaurent:
         return [[k, self._c[k]] for k in sorted(self._c, reverse=True)]
 
     def __str__(self) -> str:
-        parts: list[tuple[str, str]] = []
-        for k in sorted(self._c, reverse=True):
-            v = self._c[k]
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            if k == 0:
-                body = str(mag)
-            else:
-                e = str(k // 2) if k % 2 == 0 else f"({k}/2)"
-                var = "t" if e == "1" else f"t^{e}"
-                body = var if mag == 1 else f"{mag} {var}"
-            parts.append((sign, body))
-        return _join_terms(parts)
-
-    def __repr__(self) -> str:
-        return f"HalfLaurent({self._c!r})"
+        power = lambda k: "t" if k == 2 else f"t^{k // 2}" if k % 2 == 0 else f"t^({k}/2)"
+        return _join_terms(sorted(self._c.items(), reverse=True), power)
 
 
 class ConwayPoly:
@@ -286,20 +300,8 @@ class ConwayPoly:
         return HalfLaurent({j - m: c for j, c in enumerate(dense) if c})
 
     def __str__(self) -> str:
-        parts: list[tuple[str, str]] = []
-        for i in range(len(self._c) - 1, -1, -1):
-            v = self._c[i]
-            if not v:
-                continue
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "z" if i == 1 else f"z^{i}"
-                body = var if mag == 1 else f"{mag} {var}"
-            parts.append((sign, body))
-        return _join_terms(parts)
+        power = lambda i: "z" if i == 1 else f"z^{i}"
+        return _join_terms(reversed(list(enumerate(self._c))), power)
 
     def __repr__(self) -> str:
         return f"ConwayPoly({list(self._c)!r})"

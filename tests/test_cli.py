@@ -87,6 +87,32 @@ class TestAlexander:
         assert code == 0
         assert "t - 2 + t^-1" in out
 
+    def test_text_and_json_of_a_knot_and_a_split_link(self, capsys):
+        code, out, _ = run(capsys, "alexander", "1^2 2^3 1 2^4")
+        assert code == 0
+        assert out == (
+            "skein: t^4 - t^3 + 2 t - 3 + 2 t^-1 - t^-3 + t^-4\n"
+            "burau: t^4 - t^3 + 2 t - 3 + 2 t^-1 - t^-3 + t^-4\n"
+            "kauffman: t^4 - t^3 + 2 t - 3 + 2 t^-1 - t^-3 + t^-4\n"
+            "agree: True\n"
+        )
+        code, out, _ = run(capsys, "alexander", "1^2 2^3 1 2^4", "--json")
+        assert code == 0
+        pairs = "[[8, 1], [6, -1], [2, 2], [0, -3], [-2, 2], [-6, -1], [-8, 1]]"
+        assert out == (
+            f'{{"agree": true, "euler": {{"burau": {pairs}, "kauffman": {pairs}, "skein": {pairs}}}, '
+            '"word": {"letters": [1, 1, 2, 2, 2, 1, 2, 2, 2, 2], "strands": 3}}\n'
+        )
+        code, out, _ = run(capsys, "alexander", "strands=4: 1 1 1 3 3")
+        assert code == 0
+        assert out == "skein: 0\nburau: 0\nkauffman: n/a (knots only)\nagree: True\n"
+        code, out, _ = run(capsys, "alexander", "strands=4: 1 1 1 3 3", "--json")
+        assert code == 0
+        assert out == (
+            '{"agree": true, "euler": {"burau": [], "kauffman": null, "skein": []}, '
+            '"word": {"letters": [1, 1, 1, 3, 3], "strands": 4}}\n'
+        )
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_a_non_positive_budget_exits_2_under_every_method(self, capsys, budget):
         # Burau reads no budget, but the command rejects a bad one all the same
@@ -101,6 +127,43 @@ class TestHfk:
         code, out, _ = run(capsys, "hfk", "1^2 2^3 1 2^4")
         assert code == 0
         assert "match: True" in out
+
+    def test_text_and_json_of_a_knot(self, capsys):
+        code, out, _ = run(capsys, "hfk", "1^2 2^3 1 2^4")
+        assert code == 0
+        assert out == (
+            "genus = 4\n"
+            "top:                     F[0,4]\n"
+            "next-to-top (formula):   F[-1,3]\n"
+            "next-to-top (recursion): F[-1,3]\n"
+            "match: True\n"
+        )
+        code, out, _ = run(capsys, "hfk", "1^2 2^3 1 2^4", "--json")
+        assert code == 0
+        assert out == (
+            '{"genus": 4, "match": true, "next_to_top_formula": [[-1, 3, 1]], '
+            '"next_to_top_recursion": [[-1, 3, 1]], "top": [[0, 4, 1]], '
+            '"word": {"letters": [1, 1, 2, 2, 2, 1, 2, 2, 2, 2], "strands": 3}}\n'
+        )
+
+    def test_text_and_json_of_a_split_link(self, capsys):
+        # a trefoil beside a Hopf link: each group is a sum, printed with ⊕
+        code, out, _ = run(capsys, "hfk", "strands=4: 1 1 1 3 3")
+        assert code == 0
+        assert out == (
+            "genus = 2\n"
+            "top:                     F[0,2] ⊕ F[-1,2]\n"
+            "next-to-top (formula):   F^3[-1,1] ⊕ F^3[-2,1]\n"
+            "next-to-top (recursion): F^3[-1,1] ⊕ F^3[-2,1]\n"
+            "match: True\n"
+        )
+        code, out, _ = run(capsys, "hfk", "strands=4: 1 1 1 3 3", "--json")
+        assert code == 0
+        assert out == (
+            '{"genus": 2, "match": true, "next_to_top_formula": [[-1, 1, 3], [-2, 1, 3]], '
+            '"next_to_top_recursion": [[-1, 1, 3], [-2, 1, 3]], "top": [[0, 2, 1], [-1, 2, 1]], '
+            '"word": {"letters": [1, 1, 1, 3, 3], "strands": 4}}\n'
+        )
 
 
 class TestStates:
@@ -151,6 +214,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "1 1 1")
         assert code == 0
         assert "PASS" in out
+
+    def test_text_of_a_split_link(self, capsys):
+        code, out, _ = run(capsys, "verify", "strands=4: 1 1 1 3 3")
+        assert code == 0
+        assert out == (
+            "strands=4: 1 1 1 3 3\n"
+            "  |L|=3  s=2  p=2  chi=-1  g=2  fibered=True  verified=True\n"
+            "  euler (skein): 0\n"
+            "  euler (burau): 0\n"
+            "  top: F[0,2] ⊕ F[-1,2]\n"
+            "  next-to-top (formula):   F^3[-1,1] ⊕ F^3[-2,1]\n"
+            "  next-to-top (recursion): F^3[-1,1] ⊕ F^3[-2,1]\n"
+            + "".join(f"  [ok] {name}\n" for name in (
+                "decompose_verified", "component_parity", "genus_nonnegative", "reduced_graph_forest",
+                "skein_equals_burau", "palindromic", "top_coefficient", "formula_matches_recursion",
+                "euler_top_slice", "split_vanishing",
+            ))
+            + "  => PASS\n"
+        )
 
     def test_file_input(self, tmp_path, capsys):
         corpus = tmp_path / "words.txt"
@@ -225,6 +307,14 @@ class TestCorpus:
         code, out, _ = run(capsys, "corpus", "--strands", "3", "--len", "4", "--verify")
         assert code == 0
         assert "0 failures" in out
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["listing", "verified"])
+    def test_a_non_positive_budget_exits_2(self, capsys, verify):
+        # the listing reads no budget, but the command rejects a bad one all the same
+        for budget in ("0", "-5"):
+            code, out, err = run(capsys, "corpus", "--strands", "3", "--len", "2", "--budget", budget, *verify)
+            assert (code, out) == (2, "")
+            assert err == "error: budget must be positive\n"
 
 
 class TestFamilyAndRings:
